@@ -14,7 +14,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -31,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/benchjson"
+	"repro/internal/prom"
 	"repro/internal/server"
 	"repro/internal/workload"
 )
@@ -171,7 +171,7 @@ func run(args []string, out io.Writer) error {
 	// Client-observed latency, bucketed exactly like the server's
 	// parsecd_parse_latency_seconds so the two histograms line up when
 	// compared side by side (the gap between them is queueing + HTTP).
-	latHist := server.NewHistogram(server.LatencyBuckets()...)
+	latHist := prom.NewHistogram(prom.LatencyBuckets()...)
 	res := runLoad(client, *url+endpoint, reqs, *conc, latHist)
 
 	if *jsonOut {
@@ -196,13 +196,12 @@ func run(args []string, out io.Writer) error {
 
 	printServerSide(out, client, *url)
 	if *hist {
-		latHist.WritePrometheus(out, "parsecload_request_latency_seconds",
-			"client-observed end-to-end request latency")
+		p := prom.NewWriter(out)
+		p.Histogram("parsecload_request_latency_seconds", "client-observed end-to-end request latency", latHist)
 		if shards := res.shards(); len(shards) > 0 {
-			fmt.Fprintln(out, "# HELP parsecload_shard_requests_total requests attributed to each serving shard (X-Parsec-Shard)")
-			fmt.Fprintln(out, "# TYPE parsecload_shard_requests_total counter")
+			p.Header("parsecload_shard_requests_total", "requests attributed to each serving shard (X-Parsec-Shard)", "counter")
 			for _, s := range shards {
-				fmt.Fprintf(out, "parsecload_shard_requests_total{shard=%q} %d\n", s, res.byShard[s])
+				p.Uint("parsecload_shard_requests_total", uint64(res.byShard[s]), "shard", s)
 			}
 		}
 	}
@@ -259,7 +258,7 @@ func (r *loadResult) shards() []string {
 // runLoad fires every request in reqs at the given concurrency against
 // endpoint (a full URL including path) and collects latencies. latHist
 // may be nil.
-func runLoad(client *http.Client, endpoint string, reqs [][]byte, conc int, latHist *server.Histogram) *loadResult {
+func runLoad(client *http.Client, endpoint string, reqs [][]byte, conc int, latHist *prom.Histogram) *loadResult {
 	res := &loadResult{byStatus: map[int]int{}, byShard: map[string]int{}}
 	var (
 		next atomic.Int64
@@ -561,53 +560,22 @@ func scrapeMetrics(client *http.Client, base string) (sm scrapedMetrics, ok bool
 		return sm, false
 	}
 	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if v, found := strings.CutPrefix(line, "parsecd_batch_size_sum "); found {
-			sm.batchSum, _ = strconv.ParseFloat(strings.TrimSpace(v), 64)
-		}
-		if v, found := strings.CutPrefix(line, "parsecd_batch_size_count "); found {
-			sm.batchCount, _ = strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-		}
-		if v, found := strings.CutPrefix(line, "parsecd_result_cache_hits_total "); found {
-			sm.cacheHits, _ = strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-		}
-		if v, found := strings.CutPrefix(line, "parsecd_result_cache_misses_total "); found {
-			sm.cacheMisses, _ = strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-		}
-		if v, found := strings.CutPrefix(line, "parsecd_lattice_requests_total "); found {
-			sm.latticeReqs, _ = strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-		}
-		if v, found := strings.CutPrefix(line, "parsecd_lattice_paths_expanded_total "); found {
-			sm.latticePaths, _ = strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-		}
-		if v, found := strings.CutPrefix(line, "parsecd_lattice_prefix_cache_hits_total "); found {
-			sm.prefixHits, _ = strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-		}
-		if v, found := strings.CutPrefix(line, "parsecd_lattice_prefix_cache_misses_total "); found {
-			sm.prefixMisses, _ = strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-		}
-		if v, found := strings.CutPrefix(line, "parsecrouter_hotkey_promotions_total "); found {
-			sm.hotPromotions, _ = strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-		}
-		if v, found := strings.CutPrefix(line, "parsecrouter_hotkey_demotions_total "); found {
-			sm.hotDemotions, _ = strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-		}
-		if v, found := strings.CutPrefix(line, "parsecrouter_hedges_total "); found {
-			sm.hedges, _ = strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-		}
-		if v, found := strings.CutPrefix(line, "parsecrouter_hedge_wins_total "); found {
-			sm.hedgeWins, _ = strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-		}
-		// The sheds counter is labeled by class; both series add into one
-		// client-facing number.
-		if rest, found := strings.CutPrefix(line, "parsecrouter_sheds_total{"); found {
-			if _, v, ok := strings.Cut(rest, "} "); ok {
-				n, _ := strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-				sm.sheds += n
-			}
-		}
-	}
+	fams, _ := prom.Parse(resp.Body)
+	count := func(name string) uint64 { return uint64(prom.Sum(fams, name)) }
+	sm.batchSum = prom.Sum(fams, "parsecd_batch_size_sum")
+	sm.batchCount = count("parsecd_batch_size_count")
+	sm.cacheHits = count("parsecd_result_cache_hits_total")
+	sm.cacheMisses = count("parsecd_result_cache_misses_total")
+	sm.latticeReqs = count("parsecd_lattice_requests_total")
+	sm.latticePaths = count("parsecd_lattice_paths_expanded_total")
+	sm.prefixHits = count("parsecd_lattice_prefix_cache_hits_total")
+	sm.prefixMisses = count("parsecd_lattice_prefix_cache_misses_total")
+	sm.hotPromotions = count("parsecrouter_hotkey_promotions_total")
+	sm.hotDemotions = count("parsecrouter_hotkey_demotions_total")
+	sm.hedges = count("parsecrouter_hedges_total")
+	sm.hedgeWins = count("parsecrouter_hedge_wins_total")
+	// The sheds counter is labeled by class; both series add into one
+	// client-facing number.
+	sm.sheds = count("parsecrouter_sheds_total")
 	return sm, true
 }

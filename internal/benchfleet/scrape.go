@@ -1,13 +1,13 @@
 package benchfleet
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
+
+	"repro/internal/prom"
 )
 
 // ParsePrometheus reads one Prometheus text exposition into a flat
@@ -22,58 +22,23 @@ import (
 //     key, "<base>|le=<bound>" with the _bucket suffix dropped, so
 //     quantiles can be re-derived from bucket deltas later.
 func ParsePrometheus(r io.Reader) (map[string]float64, error) {
-	out := map[string]float64{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		// "name{labels} value" or "name value".
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			continue
-		}
-		series, valStr := line[:sp], strings.TrimSpace(line[sp+1:])
-		v, err := strconv.ParseFloat(valStr, 64)
-		if err != nil {
-			continue
-		}
-		name, labels := series, ""
-		if i := strings.IndexByte(series, '{'); i >= 0 {
-			if !strings.HasSuffix(series, "}") {
-				continue
-			}
-			name, labels = series[:i], series[i+1:len(series)-1]
-		}
-		if base, isBucket := strings.CutSuffix(name, "_bucket"); isBucket {
-			le, ok := labelValue(labels, "le")
-			if !ok {
-				continue
-			}
-			out[base+bucketKeySep+le] += v
-			continue
-		}
-		out[name] += v
-	}
-	if err := sc.Err(); err != nil {
+	fams, err := prom.Parse(r)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// labelValue extracts one label's (unescaped-enough) value from a
-// label-pair list: `le="0.05",shard="s0"`.
-func labelValue(labels, key string) (string, bool) {
-	for _, pair := range strings.Split(labels, ",") {
-		k, v, ok := strings.Cut(pair, "=")
-		if !ok || strings.TrimSpace(k) != key {
-			continue
+	out := map[string]float64{}
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			if base, isBucket := strings.CutSuffix(s.Name, "_bucket"); isBucket {
+				if le, ok := s.Label("le"); ok {
+					out[base+bucketKeySep+le] += s.Value
+				}
+				continue
+			}
+			out[s.Name] += s.Value
 		}
-		return strings.Trim(strings.TrimSpace(v), `"`), true
 	}
-	return "", false
+	return out, nil
 }
 
 // ScrapeInto fetches source's /metrics and stores every family into

@@ -1,8 +1,7 @@
-package server
+package prom
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sync"
 )
@@ -49,9 +48,9 @@ func (h *Histogram) Observe(v float64) {
 	h.count++
 }
 
-// Snapshot returns the cumulative bucket counts (aligned with the
+// snapshot returns the cumulative bucket counts (aligned with the
 // bounds, +Inf last), the sum, and the count.
-func (h *Histogram) Snapshot() (bounds []float64, cumulative []uint64, sum float64, count uint64) {
+func (h *Histogram) snapshot() (bounds []float64, cumulative []uint64, sum float64, count uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	cumulative = make([]uint64, len(h.counts))
@@ -71,26 +70,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return h.sum / float64(h.count)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// WritePrometheus renders the histogram in Prometheus text format under
-// the given fully-qualified metric name.
-func (h *Histogram) WritePrometheus(w io.Writer, name, help string) {
-	bounds, cum, sum, count := h.Snapshot()
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	for i, b := range bounds {
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatBound(b), cum[i])
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum[len(cum)-1])
-	fmt.Fprintf(w, "%s_sum %s\n", name, formatBound(sum))
-	fmt.Fprintf(w, "%s_count %d\n", name, count)
 }
 
 func formatBound(v float64) string {

@@ -1,11 +1,10 @@
 package router
 
 import (
-	"bufio"
-	"io"
+	"bytes"
 	"sort"
-	"strconv"
-	"strings"
+
+	"repro/internal/prom"
 )
 
 // /metrics aggregation: the router scrapes every eligible shard's
@@ -19,122 +18,79 @@ import (
 // the backpressure signal a fleet operator needs, and the rename keeps
 // the series honest about not being the one-node gauge.
 
-// promFamily is one metric family accumulated across scrapes.
-type promFamily struct {
-	name    string
-	help    string
-	typ     string
-	samples map[string]float64 // full series id (name + label set) → summed value
-	maxs    map[string]float64 // per-series max across scrapes (gauges)
+// fleetFamily accumulates one family across shard scrapes.
+type fleetFamily struct {
+	prom.Family                // Samples carry the per-series sums
+	max         []float64      // per-series max across scrapes, aligned with Samples
+	index       map[string]int // series id → position in Samples
 }
 
-// parsePromText folds one exposition into families. Lines it cannot
-// parse are ignored (the scrape is a best-effort aggregation, not a
-// validator).
-func parsePromText(r io.Reader, families map[string]*promFamily) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	family := func(name string) *promFamily {
-		f, ok := families[name]
+// aggregate folds shard expositions into the fleet's families, sorted
+// by name: counters and histograms summed under their own names, gauges
+// as the max across shards under the `_max`-suffixed name. Sum and max
+// are both tracked, so the fold does not depend on whether a family's
+// TYPE line arrives before its samples.
+func aggregate(bodies [][]byte) []prom.Family {
+	byName := make(map[string]*fleetFamily)
+	family := func(name string) *fleetFamily {
+		f, ok := byName[name]
 		if !ok {
-			f = &promFamily{name: name, samples: make(map[string]float64), maxs: make(map[string]float64)}
-			families[name] = f
+			f = &fleetFamily{Family: prom.Family{Name: name}, index: make(map[string]int)}
+			byName[name] = f
 		}
 		return f
 	}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
-			if name, help, ok := strings.Cut(rest, " "); ok {
-				if f := family(name); f.help == "" {
-					f.help = help
+	for _, body := range bodies {
+		// Best effort: a scrape cut short still contributes what parsed.
+		fams, _ := prom.Parse(bytes.NewReader(body))
+		for _, pf := range fams {
+			hdr := family(pf.Name)
+			if hdr.Help == "" {
+				hdr.Help = pf.Help
+			}
+			if hdr.Type == "" {
+				hdr.Type = pf.Type
+			}
+			for _, s := range pf.Samples {
+				f := family(s.Name)
+				id := s.Series()
+				i, ok := f.index[id]
+				if !ok {
+					i = len(f.Samples)
+					f.index[id] = i
+					f.Samples = append(f.Samples, prom.Sample{Name: s.Name, Labels: s.Labels})
+					f.max = append(f.max, s.Value)
+				}
+				f.Samples[i].Value += s.Value
+				if s.Value > f.max[i] {
+					f.max[i] = s.Value
 				}
 			}
-			continue
-		}
-		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
-			if name, typ, ok := strings.Cut(rest, " "); ok {
-				if f := family(name); f.typ == "" {
-					f.typ = typ
-				}
-			}
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		// A sample: "<name>{labels} <value>" or "<name> <value>". The
-		// value is the text after the last space (label values never
-		// contain unescaped spaces in our expositions).
-		idx := strings.LastIndexByte(line, ' ')
-		if idx <= 0 {
-			continue
-		}
-		series, valText := line[:idx], line[idx+1:]
-		v, err := strconv.ParseFloat(valText, 64)
-		if err != nil {
-			continue
-		}
-		name := series
-		if i := strings.IndexByte(series, '{'); i >= 0 {
-			name = series[:i]
-		}
-		f := family(name)
-		f.samples[series] += v
-		// Track the per-series max alongside the sum; writeFamilies picks
-		// which one to emit once the family's TYPE is known (our
-		// expositions emit TYPE before samples, but tracking both keeps
-		// the fold order-independent).
-		if cur, ok := f.maxs[series]; !ok || v > cur {
-			f.maxs[series] = v
 		}
 	}
-	return sc.Err()
-}
 
-// writeFamilies emits the accumulated families in sorted order:
-// counters and histograms summed under their own names, gauges as the
-// max across shards under the `_max`-suffixed name.
-func writeFamilies(w io.Writer, families map[string]*promFamily) {
-	names := make([]string, 0, len(families))
-	for n := range families {
-		names = append(names, n)
+	names := make([]string, 0, len(byName))
+	for n, f := range byName {
+		if len(f.Samples) > 0 {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
-	bw := bufio.NewWriter(w)
-	defer bw.Flush()
-	for _, n := range names {
-		f := families[n]
-		if len(f.samples) == 0 {
-			continue
-		}
-		outName, values := f.name, f.samples
-		if f.typ == "gauge" {
-			outName, values = f.name+"_max", f.maxs
-		}
-		if f.help != "" {
-			help := f.help
-			if f.typ == "gauge" {
-				help = "max across shards: " + help
+	out := make([]prom.Family, len(names))
+	for k, n := range names {
+		f := byName[n]
+		if f.Type == "gauge" {
+			f.Name = n + "_max"
+			if f.Help != "" {
+				f.Help = "max across shards: " + f.Help
 			}
-			bw.WriteString("# HELP " + outName + " " + help + "\n")
+			for i := range f.Samples {
+				f.Samples[i].Name = f.Name + f.Samples[i].Name[len(n):]
+				f.Samples[i].Value = f.max[i]
+			}
 		}
-		if f.typ != "" {
-			bw.WriteString("# TYPE " + outName + " " + f.typ + "\n")
-		}
-		series := make([]string, 0, len(values))
-		for s := range values {
-			series = append(series, s)
-		}
-		sort.Strings(series)
-		for _, s := range series {
-			// Rename the series in place: the family name is the prefix of
-			// every series id (bare or followed by its label set).
-			out := outName + s[len(f.name):]
-			bw.WriteString(out + " " + strconv.FormatFloat(values[s], 'g', -1, 64) + "\n")
-		}
+		sort.Slice(f.Samples, func(i, j int) bool { return f.Samples[i].Series() < f.Samples[j].Series() })
+		out[k] = f.Family
 	}
+	return out
 }

@@ -1,14 +1,13 @@
 package clustertest
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/prom"
 	"repro/internal/router"
 	"repro/internal/server"
 	"repro/internal/workload"
@@ -346,19 +345,13 @@ func TestMetricsAggregationSumsMatchPerShardScrapes(t *testing.T) {
 // promValues extracts exact series values from a Prometheus text body.
 func promValues(t testing.TB, body string, series []string) map[string]float64 {
 	t.Helper()
+	fams, err := prom.Parse(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := make(map[string]float64)
-	sc := bufio.NewScanner(strings.NewReader(body))
-	for sc.Scan() {
-		line := sc.Text()
-		for _, s := range series {
-			if rest, ok := strings.CutPrefix(line, s+" "); ok {
-				v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-				if err != nil {
-					t.Fatalf("bad value in %q: %v", line, err)
-				}
-				out[s] = v
-			}
-		}
+	for _, s := range series {
+		out[s] = prom.Sum(fams, s)
 	}
 	return out
 }

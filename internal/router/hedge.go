@@ -159,7 +159,7 @@ func (r *Router) hedgedDo(ctx context.Context, path, contentType string, body []
 			return
 		}
 		hedged = true
-		r.m.countHedge()
+		r.m.hedges.Add(1)
 		var sctx context.Context
 		sctx, scancel = context.WithCancel(ctx)
 		go launch(sctx, next, true)
@@ -224,11 +224,11 @@ func (r *Router) hedgedDo(ctx context.Context, path, contentType string, body []
 			out.resp.Body.Close()
 		}
 		if out.err != nil && errors.Is(out.err, context.Canceled) {
-			r.m.countHedgeCancel()
+			r.m.hedgeCancels.Add(1)
 		}
 	}
 	if winner.hedge {
-		r.m.countHedgeWin()
+		r.m.hedgeWins.Add(1)
 	}
 	r.m.countServed(winner.shard)
 	return forwardResult{resp: winner.resp, shard: winner.shard}, true, false

@@ -125,7 +125,7 @@ func (t *hotTracker) observe(key string, order []string, m *routerMetrics) hotDe
 			}
 			if e.count-e.errBound >= need {
 				t.promoted[key] = &replicaState{}
-				m.countHotKeyPromotion()
+				m.hotKeyPromotions.Add(1)
 				d.promoted = true
 			}
 		}
@@ -212,7 +212,7 @@ func (t *hotTracker) decay(m *routerMetrics) {
 	sort.Strings(demote)
 	for _, k := range demote {
 		delete(t.promoted, k)
-		m.countHotKeyDemotion()
+		m.hotKeyDemotions.Add(1)
 	}
 }
 

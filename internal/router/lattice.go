@@ -49,13 +49,13 @@ func (r *Router) handleLattice(w http.ResponseWriter, req *http.Request) {
 	}
 	order := rankShards(r.fleet.eligible(), server.LatticeAffinityKey(lreq))
 	if len(order) == 0 {
-		r.m.countEmptyFleet()
+		r.m.emptyFleet.Add(1)
 		r.writeJSON(w, http.StatusServiceUnavailable, latticeError(lreq, "no live shards"))
 		return
 	}
 	fr, ok, shedded := r.tryShards(req.Context(), "/v1/lattice", "application/json", body, order, classOf(req))
 	if shedded {
-		r.m.countShed(classOf(req))
+		r.m.sheds(classOf(req)).Add(1)
 		w.Header().Set("Retry-After", "1")
 		r.writeJSON(w, http.StatusTooManyRequests, latticeError(lreq, "shard at capacity; retry later"))
 		return
@@ -113,7 +113,7 @@ func (r *Router) handleLatticeStream(w http.ResponseWriter, req *http.Request) {
 	}
 	order := rankShards(r.fleet.eligible(), server.LatticeAffinityKey(lreq))
 	if len(order) == 0 {
-		r.m.countEmptyFleet()
+		r.m.emptyFleet.Add(1)
 		r.writeJSON(w, http.StatusServiceUnavailable, latticeError(lreq, "no live shards"))
 		return
 	}
@@ -135,13 +135,13 @@ func (r *Router) handleLatticeStream(w http.ResponseWriter, req *http.Request) {
 		}
 		shard := order[i]
 		if i > 0 {
-			r.m.countFailover()
+			r.m.failovers.Add(1)
 		}
 		// Streams are admission-checked at setup and then released: a
 		// stream can stay open for minutes and must not pin a forward
 		// slot against the per-shard cap once admitted.
 		if !r.admit.acquire(shard, classInteractive) {
-			r.m.countShed(classInteractive)
+			r.m.sheds(classInteractive).Add(1)
 			w.Header().Set("Retry-After", "1")
 			r.writeJSON(w, http.StatusTooManyRequests, latticeError(lreq, "shard at capacity; retry later"))
 			return

@@ -160,7 +160,10 @@ func (r *Router) ProbeOnce(ctx context.Context) {
 		go func(url string) {
 			defer wg.Done()
 			ok := r.probe(ctx, url)
-			r.m.countProbe(ok)
+			r.m.probes.Add(1)
+			if !ok {
+				r.m.probeFailures.Add(1)
+			}
 			r.fleet.probeResult(url, ok)
 		}(s.URL)
 	}

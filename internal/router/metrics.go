@@ -1,11 +1,13 @@
 package router
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"repro/internal/prom"
 )
 
 // shardCounters is one shard's routing accounting.
@@ -26,23 +28,25 @@ type routerMetrics struct {
 	started time.Time
 
 	mu sync.Mutex
-	// Guarded by mu: the per-shard counter table and the fleet-wide
-	// scalar counters below it.
-	perShard      map[string]*shardCounters
-	failovers     uint64 // requests moved to a lower-ranked shard
-	emptyFleet    uint64 // requests refused because no shard was eligible
-	probes        uint64
-	probeFailures uint64
-	scrapeErrors  uint64 // /metrics scrapes of a shard that failed
+	// Guarded by mu: the per-shard counter table. Admission reads and
+	// writes a shard's in-flight count together, so it stays under one
+	// lock.
+	perShard map[string]*shardCounters
 
-	hotKeyPromotions uint64 // keys promoted to replicated
-	hotKeyDemotions  uint64 // promoted keys demoted back to their primary
-	hotKeyWarms      uint64 // replica warm-up requests completed
-	hedges           uint64 // duplicate requests fired at the next replica
-	hedgeWins        uint64 // hedged duplicates that answered first
-	hedgeCancels     uint64 // losing attempts observed context-cancelled
-	shedsInteractive uint64 // interactive requests refused by admission
-	shedsBulk        uint64 // bulk requests refused by admission
+	failovers     atomic.Uint64 // requests moved to a lower-ranked shard
+	emptyFleet    atomic.Uint64 // requests refused because no shard was eligible
+	probes        atomic.Uint64
+	probeFailures atomic.Uint64
+	scrapeErrors  atomic.Uint64 // /metrics scrapes of a shard that failed
+
+	hotKeyPromotions atomic.Uint64 // keys promoted to replicated
+	hotKeyDemotions  atomic.Uint64 // promoted keys demoted back to their primary
+	hotKeyWarms      atomic.Uint64 // replica warm-up requests completed
+	hedges           atomic.Uint64 // duplicate requests fired at the next replica
+	hedgeWins        atomic.Uint64 // hedged duplicates that answered first
+	hedgeCancels     atomic.Uint64 // losing attempts observed context-cancelled
+	shedsInteractive atomic.Uint64 // interactive requests refused by admission
+	shedsBulk        atomic.Uint64 // bulk requests refused by admission
 }
 
 func newRouterMetrics() *routerMetrics {
@@ -72,18 +76,6 @@ func (m *routerMetrics) countError(url string) {
 	m.mu.Unlock()
 }
 
-func (m *routerMetrics) countFailover() {
-	m.mu.Lock()
-	m.failovers++
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) countEmptyFleet() {
-	m.mu.Lock()
-	m.emptyFleet++
-	m.mu.Unlock()
-}
-
 func (m *routerMetrics) countEjection(url string) {
 	m.mu.Lock()
 	m.forShard(url).ejections++
@@ -102,67 +94,12 @@ func (m *routerMetrics) countReadmission(url string) {
 	m.mu.Unlock()
 }
 
-func (m *routerMetrics) countProbe(ok bool) {
-	m.mu.Lock()
-	m.probes++
-	if !ok {
-		m.probeFailures++
-	}
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) countScrapeError() {
-	m.mu.Lock()
-	m.scrapeErrors++
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) countHotKeyPromotion() {
-	// Called with hotTracker.mu held; mu nests strictly inside it
-	// (routerMetrics never calls back into the tracker).
-	m.mu.Lock()
-	m.hotKeyPromotions++
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) countHotKeyDemotion() {
-	m.mu.Lock()
-	m.hotKeyDemotions++
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) countHotKeyWarm() {
-	m.mu.Lock()
-	m.hotKeyWarms++
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) countHedge() {
-	m.mu.Lock()
-	m.hedges++
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) countHedgeWin() {
-	m.mu.Lock()
-	m.hedgeWins++
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) countHedgeCancel() {
-	m.mu.Lock()
-	m.hedgeCancels++
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) countShed(class reqClass) {
-	m.mu.Lock()
+// sheds returns the shed counter of class.
+func (m *routerMetrics) sheds(class reqClass) *atomic.Uint64 {
 	if class == classBulk {
-		m.shedsBulk++
-	} else {
-		m.shedsInteractive++
+		return &m.shedsBulk
 	}
-	m.mu.Unlock()
+	return &m.shedsInteractive
 }
 
 // admitInflight claims an in-flight slot on url unless limit is
@@ -219,8 +156,6 @@ type Stats struct {
 }
 
 func (m *routerMetrics) stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	st := Stats{
 		Requests:     make(map[string]uint64),
 		Errors:       make(map[string]uint64),
@@ -228,20 +163,22 @@ func (m *routerMetrics) stats() Stats {
 		Inflight:     make(map[string]int),
 		InflightHigh: make(map[string]int),
 
-		Failovers:     m.failovers,
-		EmptyFleet:    m.emptyFleet,
-		Probes:        m.probes,
-		ProbeFailures: m.probeFailures,
+		Failovers:     m.failovers.Load(),
+		EmptyFleet:    m.emptyFleet.Load(),
+		Probes:        m.probes.Load(),
+		ProbeFailures: m.probeFailures.Load(),
 
-		HotKeyPromotions: m.hotKeyPromotions,
-		HotKeyDemotions:  m.hotKeyDemotions,
-		HotKeyWarms:      m.hotKeyWarms,
-		Hedges:           m.hedges,
-		HedgeWins:        m.hedgeWins,
-		HedgeCancels:     m.hedgeCancels,
-		ShedsInteractive: m.shedsInteractive,
-		ShedsBulk:        m.shedsBulk,
+		HotKeyPromotions: m.hotKeyPromotions.Load(),
+		HotKeyDemotions:  m.hotKeyDemotions.Load(),
+		HotKeyWarms:      m.hotKeyWarms.Load(),
+		Hedges:           m.hedges.Load(),
+		HedgeWins:        m.hedgeWins.Load(),
+		HedgeCancels:     m.hedgeCancels.Load(),
+		ShedsInteractive: m.shedsInteractive.Load(),
+		ShedsBulk:        m.shedsBulk.Load(),
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for url, sc := range m.perShard {
 		st.Requests[url] = sc.requests
 		st.Errors[url] = sc.errors
@@ -256,10 +193,10 @@ func (m *routerMetrics) stats() Stats {
 // (sorted) order. statuses is the fleet snapshot for the liveness
 // gauge.
 func (m *routerMetrics) writePrometheus(w io.Writer, statuses []ShardStatus) {
-	// Snapshot under mu, write after: w is the scraper's connection,
-	// and holding the routing-path mutex across it would let a slow
-	// scraper stall countServed on every proxied request (lockorder
-	// enforces this).
+	// Snapshot the per-shard table under mu, write after: w is the
+	// scraper's connection, and holding the routing-path mutex across it
+	// would let a slow scraper stall countServed on every proxied
+	// request (lockorder enforces this).
 	m.mu.Lock()
 	urls := make([]string, 0, len(m.perShard))
 	for u := range m.perShard {
@@ -270,57 +207,45 @@ func (m *routerMetrics) writePrometheus(w io.Writer, statuses []ShardStatus) {
 	for i, u := range urls {
 		rows[i] = *m.perShard[u]
 	}
-	failovers, emptyFleet := m.failovers, m.emptyFleet
-	probes, probeFailures, scrapeErrors := m.probes, m.probeFailures, m.scrapeErrors
-	promotions, demotions, warms := m.hotKeyPromotions, m.hotKeyDemotions, m.hotKeyWarms
-	hedges, hedgeWins, hedgeCancels := m.hedges, m.hedgeWins, m.hedgeCancels
-	shedInteractive, shedBulk := m.shedsInteractive, m.shedsBulk
-	started := m.started
 	m.mu.Unlock()
 
-	perShard := func(name, help string, get func(*shardCounters) uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+	p := prom.NewWriter(w)
+	perShard := func(name, help, typ string, get func(*shardCounters) uint64) {
+		p.Header(name, help, typ)
 		for i, u := range urls {
-			fmt.Fprintf(w, "%s{shard=%q} %d\n", name, u, get(&rows[i]))
+			p.Uint(name, get(&rows[i]), "shard", u)
 		}
 	}
-	perShard("parsecrouter_shard_requests_total", "requests answered by each shard", func(sc *shardCounters) uint64 { return sc.requests })
-	perShard("parsecrouter_shard_errors_total", "transport errors and retryable 5xx responses per shard", func(sc *shardCounters) uint64 { return sc.errors })
-	perShard("parsecrouter_shard_ejections_total", "times each shard was ejected from the fleet", func(sc *shardCounters) uint64 { return sc.ejections })
-	perShard("parsecrouter_shard_probations_total", "times each shard entered probation after ejection", func(sc *shardCounters) uint64 { return sc.probations })
-	perShard("parsecrouter_shard_readmissions_total", "times each shard was promoted from probation back to live", func(sc *shardCounters) uint64 { return sc.readmission })
+	perShard("parsecrouter_shard_requests_total", "requests answered by each shard", "counter", func(sc *shardCounters) uint64 { return sc.requests })
+	perShard("parsecrouter_shard_errors_total", "transport errors and retryable 5xx responses per shard", "counter", func(sc *shardCounters) uint64 { return sc.errors })
+	perShard("parsecrouter_shard_ejections_total", "times each shard was ejected from the fleet", "counter", func(sc *shardCounters) uint64 { return sc.ejections })
+	perShard("parsecrouter_shard_probations_total", "times each shard entered probation after ejection", "counter", func(sc *shardCounters) uint64 { return sc.probations })
+	perShard("parsecrouter_shard_readmissions_total", "times each shard was promoted from probation back to live", "counter", func(sc *shardCounters) uint64 { return sc.readmission })
 
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("parsecrouter_failovers_total", "requests retried on a lower-ranked shard", failovers)
-	counter("parsecrouter_empty_fleet_total", "requests refused because no shard was eligible", emptyFleet)
-	counter("parsecrouter_probes_total", "health probes sent", probes)
-	counter("parsecrouter_probe_failures_total", "health probes that failed", probeFailures)
-	counter("parsecrouter_scrape_errors_total", "per-shard /metrics scrapes that failed during aggregation", scrapeErrors)
-	counter("parsecrouter_hotkey_promotions_total", "keys promoted to replicated across their HRW prefix", promotions)
-	counter("parsecrouter_hotkey_demotions_total", "promoted keys demoted back to their primary shard", demotions)
-	counter("parsecrouter_hotkey_warms_total", "replica warm-up requests completed after promotion", warms)
-	counter("parsecrouter_hedges_total", "duplicate requests fired at the next replica", hedges)
-	counter("parsecrouter_hedge_wins_total", "hedged duplicates that answered before the primary", hedgeWins)
-	counter("parsecrouter_hedge_cancels_total", "losing hedge attempts observed context-cancelled", hedgeCancels)
-	fmt.Fprintf(w, "# HELP parsecrouter_sheds_total requests refused by admission control per class\n# TYPE parsecrouter_sheds_total counter\n")
-	fmt.Fprintf(w, "parsecrouter_sheds_total{class=\"interactive\"} %d\n", shedInteractive)
-	fmt.Fprintf(w, "parsecrouter_sheds_total{class=\"bulk\"} %d\n", shedBulk)
+	p.Counter("parsecrouter_failovers_total", "requests retried on a lower-ranked shard", m.failovers.Load())
+	p.Counter("parsecrouter_empty_fleet_total", "requests refused because no shard was eligible", m.emptyFleet.Load())
+	p.Counter("parsecrouter_probes_total", "health probes sent", m.probes.Load())
+	p.Counter("parsecrouter_probe_failures_total", "health probes that failed", m.probeFailures.Load())
+	p.Counter("parsecrouter_scrape_errors_total", "per-shard /metrics scrapes that failed during aggregation", m.scrapeErrors.Load())
+	p.Counter("parsecrouter_hotkey_promotions_total", "keys promoted to replicated across their HRW prefix", m.hotKeyPromotions.Load())
+	p.Counter("parsecrouter_hotkey_demotions_total", "promoted keys demoted back to their primary shard", m.hotKeyDemotions.Load())
+	p.Counter("parsecrouter_hotkey_warms_total", "replica warm-up requests completed after promotion", m.hotKeyWarms.Load())
+	p.Counter("parsecrouter_hedges_total", "duplicate requests fired at the next replica", m.hedges.Load())
+	p.Counter("parsecrouter_hedge_wins_total", "hedged duplicates that answered before the primary", m.hedgeWins.Load())
+	p.Counter("parsecrouter_hedge_cancels_total", "losing hedge attempts observed context-cancelled", m.hedgeCancels.Load())
+	p.Header("parsecrouter_sheds_total", "requests refused by admission control per class", "counter")
+	p.Uint("parsecrouter_sheds_total", m.shedsInteractive.Load(), "class", "interactive")
+	p.Uint("parsecrouter_sheds_total", m.shedsBulk.Load(), "class", "bulk")
 
-	fmt.Fprintf(w, "# HELP parsecrouter_shard_inflight forwards currently in flight per shard (admission control)\n# TYPE parsecrouter_shard_inflight gauge\n")
-	for i, u := range urls {
-		fmt.Fprintf(w, "parsecrouter_shard_inflight{shard=%q} %d\n", u, rows[i].inflight)
-	}
+	perShard("parsecrouter_shard_inflight", "forwards currently in flight per shard (admission control)", "gauge", func(sc *shardCounters) uint64 { return uint64(sc.inflight) })
 
-	fmt.Fprintf(w, "# HELP parsecrouter_shard_eligible whether each shard currently receives traffic (live or probation)\n# TYPE parsecrouter_shard_eligible gauge\n")
+	p.Header("parsecrouter_shard_eligible", "whether each shard currently receives traffic (live or probation)", "gauge")
 	for _, st := range statuses {
-		v := 0
+		var v uint64
 		if st.State != StateEjected {
 			v = 1
 		}
-		fmt.Fprintf(w, "parsecrouter_shard_eligible{shard=%q,state=%q} %d\n", st.URL, st.StateName, v)
+		p.Uint("parsecrouter_shard_eligible", v, "shard", st.URL, "state", st.StateName)
 	}
-	fmt.Fprintf(w, "# HELP parsecrouter_uptime_seconds seconds since the router started\n# TYPE parsecrouter_uptime_seconds gauge\nparsecrouter_uptime_seconds %.3f\n",
-		time.Since(started).Seconds())
+	p.Gauge("parsecrouter_uptime_seconds", "seconds since the router started", time.Since(m.started).Seconds())
 }

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/prom"
 	"repro/internal/server"
 )
 
@@ -310,7 +311,7 @@ func (r *Router) tryShards(ctx context.Context, path string, contentType string,
 		}
 		shard := order[i]
 		if i > 0 {
-			r.m.countFailover()
+			r.m.failovers.Add(1)
 		}
 		resp, shed, err := r.forwardOnce(ctx, shard, path, contentType, body, class)
 		if shed {
@@ -338,7 +339,7 @@ func (r *Router) tryShards(ctx context.Context, path string, contentType string,
 // shed answers a request refused by admission control: 429 with a
 // Retry-After hint, in the server's error schema.
 func (r *Router) shed(w http.ResponseWriter, class reqClass, preq server.ParseRequest) {
-	r.m.countShed(class)
+	r.m.sheds(class).Add(1)
 	w.Header().Set("Retry-After", "1")
 	r.writeJSON(w, http.StatusTooManyRequests, errorResult(preq, "shard at capacity; retry later"))
 }
@@ -391,7 +392,7 @@ func (r *Router) handleParse(w http.ResponseWriter, req *http.Request) {
 	}
 	order := rankShards(r.fleet.eligible(), key)
 	if len(order) == 0 {
-		r.m.countEmptyFleet()
+		r.m.emptyFleet.Add(1)
 		r.writeJSON(w, http.StatusServiceUnavailable, errorResult(preq, "no live shards"))
 		return
 	}
@@ -479,7 +480,7 @@ func (r *Router) warmReplicas(key string, body []byte, prefix []string) {
 	// round-robin is active, so the ready flag must already be set.
 	r.hot.warmed(key)
 	for ; warms > 0; warms-- {
-		r.m.countHotKeyWarm()
+		r.m.hotKeyWarms.Add(1)
 	}
 }
 
@@ -499,7 +500,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	}
 	eligible := r.fleet.eligible()
 	if len(eligible) == 0 {
-		r.m.countEmptyFleet()
+		r.m.emptyFleet.Add(1)
 		r.writeJSON(w, http.StatusServiceUnavailable, server.BatchResult{})
 		return
 	}
@@ -560,7 +561,7 @@ func (r *Router) forwardSubBatch(ctx context.Context, reqs []server.ParseRequest
 		// The batch schema has no per-result status, so a shed sub-batch
 		// surfaces as per-request errors; the shed is still counted so
 		// /metrics shows bulk losing headroom before interactive.
-		r.m.countShed(class)
+		r.m.sheds(class).Add(1)
 		fail("shard at capacity; retry later")
 		return
 	}
@@ -599,7 +600,7 @@ func (r *Router) handleGrammars(w http.ResponseWriter, req *http.Request) {
 	}
 	eligible := r.fleet.eligible()
 	if len(eligible) == 0 {
-		r.m.countEmptyFleet()
+		r.m.emptyFleet.Add(1)
 		r.writeJSON(w, http.StatusServiceUnavailable, map[string]any{"grammars": []mergedGrammar{}})
 		return
 	}
@@ -676,7 +677,6 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	families := make(map[string]*promFamily)
 	eligible := r.fleet.eligible()
 	type scrape struct {
 		body []byte
@@ -707,13 +707,17 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		}(i, shard)
 	}
 	wg.Wait()
+	var bodies [][]byte
 	for i := range scrapes {
 		if scrapes[i].err != nil {
-			r.m.countScrapeError()
+			r.m.scrapeErrors.Add(1)
 			continue
 		}
-		parsePromText(bytes.NewReader(scrapes[i].body), families) //nolint:errcheck // best-effort
+		bodies = append(bodies, scrapes[i].body)
 	}
-	writeFamilies(w, families)
+	p := prom.NewWriter(w)
+	for _, f := range aggregate(bodies) {
+		p.Family(&f)
+	}
 	r.m.writePrometheus(w, r.fleet.snapshot())
 }

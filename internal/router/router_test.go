@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/prom"
 	"repro/internal/server"
 )
 
@@ -161,14 +162,11 @@ parsecd_requests_total{code="200"} 2
 parsecd_uptime_seconds 9.5
 garbage line without a number x
 `
-	families := make(map[string]*promFamily)
-	for _, body := range []string{a, b} {
-		if err := parsePromText(strings.NewReader(body), families); err != nil {
-			t.Fatal(err)
-		}
-	}
 	var out strings.Builder
-	writeFamilies(&out, families)
+	p := prom.NewWriter(&out)
+	for _, f := range aggregate([][]byte{[]byte(a), []byte(b)}) {
+		p.Family(&f)
+	}
 	text := out.String()
 	for _, w := range []string{
 		"parsecd_parses_total 8",
