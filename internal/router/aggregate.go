@@ -3,6 +3,7 @@ package router
 import (
 	"bytes"
 	"sort"
+	"strconv"
 
 	"repro/internal/prom"
 )
@@ -26,8 +27,9 @@ type fleetFamily struct {
 }
 
 // aggregate folds shard expositions into the fleet's families, sorted
-// by name: counters and histograms summed under their own names, gauges
-// as the max across shards under the `_max`-suffixed name. Sum and max
+// by name: counters and histograms summed under their own names and
+// headers, gauges as the max across shards under the `_max`-suffixed
+// name. Sum and max
 // are both tracked, so the fold does not depend on whether a family's
 // TYPE line arrives before its samples.
 func aggregate(bodies [][]byte) []prom.Family {
@@ -44,15 +46,14 @@ func aggregate(bodies [][]byte) []prom.Family {
 		// Best effort: a scrape cut short still contributes what parsed.
 		fams, _ := prom.Parse(bytes.NewReader(body))
 		for _, pf := range fams {
-			hdr := family(pf.Name)
-			if hdr.Help == "" {
-				hdr.Help = pf.Help
+			f := family(pf.Name)
+			if f.Help == "" {
+				f.Help = pf.Help
 			}
-			if hdr.Type == "" {
-				hdr.Type = pf.Type
+			if f.Type == "" {
+				f.Type = pf.Type
 			}
 			for _, s := range pf.Samples {
-				f := family(s.Name)
 				id := s.Series()
 				i, ok := f.index[id]
 				if !ok {
@@ -89,8 +90,26 @@ func aggregate(bodies [][]byte) []prom.Family {
 				f.Samples[i].Value = f.max[i]
 			}
 		}
-		sort.Slice(f.Samples, func(i, j int) bool { return f.Samples[i].Series() < f.Samples[j].Series() })
+		sort.Slice(f.Samples, func(i, j int) bool { return seriesLess(f.Samples[i], f.Samples[j]) })
 		out[k] = f.Family
 	}
 	return out
+}
+
+// seriesLess orders a family's series by name, then histogram buckets
+// by ascending bound (+Inf last) and other series by label text.
+func seriesLess(a, b prom.Sample) bool {
+	if a.Name != b.Name {
+		return a.Name < b.Name
+	}
+	la, aok := a.Label("le")
+	lb, bok := b.Label("le")
+	if aok && bok {
+		fa, aerr := strconv.ParseFloat(la, 64)
+		fb, berr := strconv.ParseFloat(lb, 64)
+		if aerr == nil && berr == nil && fa != fb {
+			return fa < fb
+		}
+	}
+	return a.Labels < b.Labels
 }

@@ -3,7 +3,9 @@ package clustertest
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -339,6 +341,37 @@ func TestMetricsAggregationSumsMatchPerShardScrapes(t *testing.T) {
 	// a positive uptime.
 	if uptimeMax <= 0 || uptimeMax > shardMax {
 		t.Errorf("gauge max %g out of range (0, %g]", uptimeMax, shardMax)
+	}
+	// Histogram families cross the aggregation whole: each keeps its
+	// HELP/TYPE header, and its buckets come in ascending bound order
+	// with +Inf last.
+	fams, err := prom.Parse(strings.NewReader(routerBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"parsecd_queue_wait_seconds", "parsecd_parse_latency_seconds", "parsecd_batch_size"} {
+		if lines := "\n" + routerBody; !strings.Contains(lines, "\n# HELP "+name+" ") || !strings.Contains(lines, "\n# TYPE "+name+" histogram\n") {
+			t.Errorf("router exposition lost the HELP/TYPE header of histogram %s", name)
+		}
+		var bounds []float64
+		for _, f := range fams {
+			for _, s := range f.Samples {
+				if le, ok := s.Label("le"); ok && s.Name == name+"_bucket" {
+					b, err := strconv.ParseFloat(le, 64)
+					if err != nil {
+						t.Fatalf("%s bucket bound %q: %v", name, le, err)
+					}
+					bounds = append(bounds, b)
+				}
+			}
+		}
+		ascending := len(bounds) > 1 && math.IsInf(bounds[len(bounds)-1], 1)
+		for i := 1; i < len(bounds); i++ {
+			ascending = ascending && bounds[i-1] < bounds[i]
+		}
+		if !ascending {
+			t.Errorf("%s buckets not in ascending le order with +Inf last: %v", name, bounds)
+		}
 	}
 }
 
