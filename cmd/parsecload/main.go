@@ -553,14 +553,21 @@ type scrapedMetrics struct {
 }
 
 // scrapeMetrics pulls the batching histogram and result-cache counters
-// out of the server's Prometheus text exposition.
+// out of the server's Prometheus text exposition. ok is false when the
+// scrape fails, answers non-200, or its body cannot be read in full.
 func scrapeMetrics(client *http.Client, base string) (sm scrapedMetrics, ok bool) {
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
 		return sm, false
 	}
 	defer resp.Body.Close()
-	fams, _ := prom.Parse(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		return sm, false
+	}
+	fams, err := prom.Parse(resp.Body)
+	if err != nil {
+		return sm, false
+	}
 	count := func(name string) uint64 { return uint64(prom.Sum(fams, name)) }
 	sm.batchSum = prom.Sum(fams, "parsecd_batch_size_sum")
 	sm.batchCount = count("parsecd_batch_size_count")

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -315,5 +316,36 @@ func TestLatticeLoadSmoke(t *testing.T) {
 	}
 	if st.LatticePrefixHits == 0 {
 		t.Errorf("no prefix-cache hits across %d repeated utterances:\n%s", 24, report)
+	}
+}
+
+// TestScrapeMetricsReportsFailures: a /metrics answer that is not a
+// complete 200 is a failed scrape, never a zero-valued success — even
+// when the body it did send parses.
+func TestScrapeMetricsReportsFailures(t *testing.T) {
+	const body = "parsecd_result_cache_hits_total 3\nparsecd_result_cache_misses_total 1\n"
+	for name, h := range map[string]http.HandlerFunc{
+		"503": func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			w.Write([]byte(body)) //nolint:errcheck
+		},
+		"truncated body": func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Length", "4096")
+			w.Write([]byte(body)) //nolint:errcheck
+		},
+	} {
+		ts := httptest.NewServer(h)
+		if sm, ok := scrapeMetrics(ts.Client(), ts.URL); ok {
+			t.Errorf("%s: scrape reported success: %+v", name, sm)
+		}
+		ts.Close()
+	}
+
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(body)) //nolint:errcheck
+	}))
+	defer ts.Close()
+	if sm, ok := scrapeMetrics(ts.Client(), ts.URL); !ok || sm.cacheHits != 3 || sm.cacheMisses != 1 {
+		t.Errorf("good scrape = %+v,%v want hits=3 misses=1", sm, ok)
 	}
 }
