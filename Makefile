@@ -41,13 +41,15 @@ ci: vet lint race fuzz-smoke
 # budget; set FUZZTIME=5s for a quick local pass or point -fuzztime
 # at something much larger for a real soak. Targets are pkg:Name pairs
 # so surfaces outside the server package (the VM-vs-AST differential
-# target in internal/cdg) ride the same harness.
+# target in internal/cdg, the exposition decoder in internal/prom) ride
+# the same harness.
 FUZZTIME ?= 30s
 FUZZ_TARGETS ?= ./internal/server/:FuzzParseRequestDecode \
 	./internal/server/:FuzzCacheKey \
 	./internal/server/:FuzzLatticeRequestDecode \
 	./internal/cdg/:FuzzCompiledEvalMatchesAST \
-	./internal/benchfleet/:FuzzScenarioDecode
+	./internal/benchfleet/:FuzzScenarioDecode \
+	./internal/prom/:FuzzParse
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; name=$${t##*:}; \
