@@ -114,11 +114,11 @@ func TestKilledShardEjectedAndKeysFailOver(t *testing.T) {
 
 	// Membership ejection after consecutive probe failures.
 	c.AdvanceProbes(1)
-	if got := c.stateOf(t, victim.URL); got != router.StateLive {
+	if got := c.stateOf(t, victim.FleetURL); got != router.StateLive {
 		t.Fatalf("one failed probe already changed state to %v", got)
 	}
 	c.AdvanceProbes(1)
-	if got := c.stateOf(t, victim.URL); got != router.StateEjected {
+	if got := c.stateOf(t, victim.FleetURL); got != router.StateEjected {
 		t.Fatalf("after EjectAfter probes: state %v, want ejected", got)
 	}
 
@@ -144,13 +144,13 @@ func TestRevivedShardReadmittedThroughProbation(t *testing.T) {
 
 	victim.Kill()
 	c.AdvanceProbes(2)
-	if got := c.stateOf(t, victim.URL); got != router.StateEjected {
+	if got := c.stateOf(t, victim.FleetURL); got != router.StateEjected {
 		t.Fatalf("state %v, want ejected", got)
 	}
 
 	victim.Revive()
 	c.AdvanceProbes(1)
-	if got := c.stateOf(t, victim.URL); got != router.StateProbation {
+	if got := c.stateOf(t, victim.FleetURL); got != router.StateProbation {
 		t.Fatalf("first good probe: state %v, want probation", got)
 	}
 	// Probation shards already receive traffic: the key comes home.
@@ -159,7 +159,7 @@ func TestRevivedShardReadmittedThroughProbation(t *testing.T) {
 		t.Fatalf("probation routing: status %d shard %s, want %s", status, shard, owner)
 	}
 	c.AdvanceProbes(1)
-	if got := c.stateOf(t, victim.URL); got != router.StateLive {
+	if got := c.stateOf(t, victim.FleetURL); got != router.StateLive {
 		t.Fatalf("after ReadmitAfter probes: state %v, want live", got)
 	}
 }
@@ -173,12 +173,12 @@ func TestProbationFailureReEjects(t *testing.T) {
 	c.AdvanceProbes(1)
 	victim.Revive()
 	c.AdvanceProbes(1)
-	if got := c.stateOf(t, victim.URL); got != router.StateProbation {
+	if got := c.stateOf(t, victim.FleetURL); got != router.StateProbation {
 		t.Fatalf("state %v, want probation", got)
 	}
 	victim.Kill()
 	c.AdvanceProbes(1)
-	if got := c.stateOf(t, victim.URL); got != router.StateEjected {
+	if got := c.stateOf(t, victim.FleetURL); got != router.StateEjected {
 		t.Fatalf("state %v, want ejected after probation failure", got)
 	}
 }
@@ -534,7 +534,7 @@ func TestClusterSmoke(t *testing.T) {
 	}
 	c.Shards[0].Revive()
 	c.AdvanceProbes(2)
-	if got := c.stateOf(t, c.Shards[0].URL); got != router.StateLive {
+	if got := c.stateOf(t, c.Shards[0].FleetURL); got != router.StateLive {
 		t.Fatalf("state %v after revival, want live", got)
 	}
 	if status, body := Get(t, c.URL+"/metrics"); status != http.StatusOK || !strings.Contains(body, "parsecrouter_shard_requests_total") {

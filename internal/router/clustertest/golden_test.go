@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -141,41 +139,6 @@ func TestShardMetricsGolden(t *testing.T) {
 
 func TestRouterMetricsGolden(t *testing.T) {
 	c := New(t, 2, server.Config{}, router.Config{})
-	base := stableRouter(t, c)
-	goldenTraffic(t, base)
-	checkGolden(t, base, "router_metrics.golden")
-}
-
-// stableRouter fronts c's shards with a router that knows them by fixed
-// hostnames (http://shardN.clustertest) rather than their ephemeral
-// httptest ports, so HRW placement — and every per-shard series with
-// it — is the same from run to run. Its transport dials each name's
-// listener.
-func stableRouter(t *testing.T, c *Cluster) string {
-	t.Helper()
-	addrs := make(map[string]string)
-	var urls []string
-	for i, sh := range c.Shards {
-		host := fmt.Sprintf("shard%d.clustertest", i)
-		addrs[host+":80"] = strings.TrimPrefix(sh.URL, "http://")
-		urls = append(urls, "http://"+host)
-	}
-	var d net.Dialer
-	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-		a, ok := addrs[addr]
-		if !ok {
-			return nil, fmt.Errorf("clustertest: no shard named %s", addr)
-		}
-		return d.DialContext(ctx, network, a)
-	}}
-	r, err := router.New(router.Config{Shards: urls, ProbeInterval: -1, Client: &http.Client{Transport: tr}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(r.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		tr.CloseIdleConnections()
-	})
-	return ts.URL
+	goldenTraffic(t, c.URL)
+	checkGolden(t, c.URL, "router_metrics.golden")
 }

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -27,9 +28,14 @@ import (
 
 // Shard is one backend under harness control.
 type Shard struct {
-	Name   string
-	URL    string
-	Server *server.Server
+	Name string
+	// URL is the shard's listener, for requests that bypass the router.
+	URL string
+	// FleetURL is the name the router knows the shard by,
+	// http://shardN.clustertest: router state (Statuses, Stats, the
+	// parsecrouter_* shard labels) is keyed by it.
+	FleetURL string
+	Server   *server.Server
 
 	ts          *httptest.Server
 	down        atomic.Bool
@@ -151,6 +157,7 @@ type Cluster struct {
 	Shards []*Shard
 
 	rts *httptest.Server
+	tr  *http.Transport // the router's: dials FleetURLs
 }
 
 // Boot brings up n backends with scfg (ShardName is overridden per
@@ -159,24 +166,36 @@ type Cluster struct {
 // advances through AdvanceProbes). It is the non-testing constructor —
 // the fleet benchmark orchestrator (internal/benchfleet) boots its
 // in-process mode through it — and the caller owns teardown via Close.
+//
+// The router knows each shard by a fixed hostname (FleetURL) rather
+// than its ephemeral listener port, so HRW placement of a given key —
+// and every per-shard outcome that follows from it — is the same from
+// run to run. The router's transport dials each name's listener.
 func Boot(n int, scfg server.Config, rcfg router.Config) (*Cluster, error) {
 	c := &Cluster{}
+	addrs := make(map[string]string) // fleet host:port → listener address
+	rcfg.Shards = nil
 	for i := 0; i < n; i++ {
 		scfg.ShardName = fmt.Sprintf("shard%d", i)
 		s := server.New(scfg)
 		sh := &Shard{Name: scfg.ShardName, Server: s}
 		sh.ts = httptest.NewServer(sh.handler(s.Handler()))
 		sh.URL = sh.ts.URL
+		sh.FleetURL = "http://" + sh.Name + ".clustertest"
+		addrs[sh.Name+".clustertest:80"] = sh.ts.Listener.Addr().String()
+		rcfg.Shards = append(rcfg.Shards, sh.FleetURL)
 		c.Shards = append(c.Shards, sh)
 	}
-	rcfg.Shards = nil
-	for _, sh := range c.Shards {
-		rcfg.Shards = append(rcfg.Shards, sh.URL)
-	}
 	rcfg.ProbeInterval = -1 // deterministic: probes advance only via AdvanceProbes
-	if rcfg.Client == nil {
-		rcfg.Client = &http.Client{}
-	}
+	var d net.Dialer
+	c.tr = &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		a, ok := addrs[addr]
+		if !ok {
+			return nil, fmt.Errorf("clustertest: no shard named %s", addr)
+		}
+		return d.DialContext(ctx, network, a)
+	}}
+	rcfg.Client = &http.Client{Transport: c.tr}
 	r, err := router.New(rcfg)
 	if err != nil {
 		c.Close()
@@ -193,6 +212,9 @@ func Boot(n int, scfg server.Config, rcfg router.Config) (*Cluster, error) {
 func (c *Cluster) Close() {
 	if c.rts != nil {
 		c.rts.Close()
+	}
+	if c.tr != nil {
+		c.tr.CloseIdleConnections()
 	}
 	for _, sh := range c.Shards {
 		sh.Revive() // let Close finish even if the shard was killed

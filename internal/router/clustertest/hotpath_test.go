@@ -303,10 +303,10 @@ func TestAdmissionShedsBulkBeforeInteractive(t *testing.T) {
 	if st.ShedsInteractive != 1 {
 		t.Errorf("interactive sheds = %d, want 1", st.ShedsInteractive)
 	}
-	if high := st.InflightHigh[sh.URL]; high != 2 {
+	if high := st.InflightHigh[sh.FleetURL]; high != 2 {
 		t.Errorf("in-flight high-water = %d, want exactly the cap (2)", high)
 	}
-	if cur := st.Inflight[sh.URL]; cur != 2 {
+	if cur := st.Inflight[sh.FleetURL]; cur != 2 {
 		t.Errorf("in-flight now = %d, want 2 stalled occupants", cur)
 	}
 }
