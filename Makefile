@@ -79,7 +79,7 @@ load:
 # end-to-end parse's eval/scan/router stage attribution).
 BENCH_PKGS = ./internal/maspar/ ./internal/cn/ ./internal/cdg/ ./internal/core/ ./internal/latticeserve/ ./internal/server/ ./internal/router/clustertest/
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -o BENCH_scan.json
+	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/parsecbench fromtest -o BENCH_scan.json
 	@echo wrote BENCH_scan.json
 
 # bench-smoke is the CI-sized variant: one short iteration per
@@ -87,7 +87,7 @@ bench:
 # included), just enough to prove the harness, the attribution
 # plumbing, and the JSON pipeline stay healthy.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -o BENCH_scan.json
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/parsecbench fromtest -o BENCH_scan.json
 	@echo wrote BENCH_scan.json
 
 # Fleet benchmarking: cmd/parsecbench boots an N-shard parsecd fleet

@@ -6,13 +6,16 @@
 // fault schedule, and writes BENCH_cluster.json in the shared benchjson
 // schema with the columnar sample store embedded. `parsecbench query`
 // answers post-hoc questions against a written artifact ("p99 by shard
-// during the kill phase") without re-running anything.
+// during the kill phase") without re-running anything. `parsecbench
+// fromtest` converts `go test -bench` text on stdin into the same
+// schema: the BENCH_scan.json report `make bench` writes.
 //
 // Usage:
 //
 //	parsecbench run -scenario scenarios/smoke.json -o BENCH_cluster.json
 //	parsecbench run -scenario scenarios/zipf-kill.json -mode proc -bin .benchbin
 //	parsecbench query -in BENCH_cluster.json -phase kill -p 0.99
+//	go test -run '^$' -bench . -benchmem ./internal/maspar/ | parsecbench fromtest -o BENCH_scan.json
 package main
 
 import (
@@ -25,28 +28,31 @@ import (
 	"time"
 
 	"repro/internal/benchfleet"
+	"repro/internal/benchjson"
 	"repro/internal/router"
 	"repro/internal/server"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "parsecbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, in io.Reader, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: parsecbench <run|query> [flags]")
+		return fmt.Errorf("usage: parsecbench <run|query|fromtest> [flags]")
 	}
 	switch args[0] {
 	case "run":
 		return runScenario(args[1:], out)
 	case "query":
 		return runQuery(args[1:], out)
+	case "fromtest":
+		return runFromTest(args[1:], in, out)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want run or query)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want run, query or fromtest)", args[0])
 	}
 }
 
@@ -157,4 +163,30 @@ func runQuery(args []string, out io.Writer) error {
 	}
 	_, err = io.WriteString(out, st.DescribeQuery(benchfleet.Query{Phase: *phase, Shard: *shard}, *p))
 	return err
+}
+
+// runFromTest converts `go test -bench` output read from in into a
+// benchjson report, written to -o or to out. It keeps ns/op, B/op,
+// allocs/op and every custom metric the benchmarks report (simulated
+// cycles/op, sents/s, p50/p99-ns/op, stage attribution).
+func runFromTest(args []string, in io.Reader, out io.Writer) error {
+	fs := flag.NewFlagSet("parsecbench fromtest", flag.ContinueOnError)
+	outPath := fs.String("o", "", "output file (default stdout)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	rep, err := benchjson.Parse(in)
+	if err != nil {
+		return err
+	}
+	enc, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	enc = append(enc, '\n')
+	if *outPath == "" {
+		_, err = out.Write(enc)
+		return err
+	}
+	return os.WriteFile(*outPath, enc, 0o644)
 }

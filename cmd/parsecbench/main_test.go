@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,7 +19,7 @@ func TestRunInprocWritesValidReport(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "BENCH_cluster.json")
 	var buf bytes.Buffer
-	err := run([]string{"run", "-scenario", "../../scenarios/smoke.json", "-mode", "inproc", "-o", out}, &buf)
+	err := run([]string{"run", "-scenario", "../../scenarios/smoke.json", "-mode", "inproc", "-o", out}, nil, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestRunInprocWritesValidReport(t *testing.T) {
 
 	// Query subcommand reads the artifact back.
 	buf.Reset()
-	if err := run([]string{"query", "-in", out, "-phase", "kill", "-p", "0.99"}, &buf); err != nil {
+	if err := run([]string{"query", "-in", out, "-phase", "kill", "-p", "0.99"}, nil, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "shard shard0:") {
@@ -60,10 +61,37 @@ func TestRunUsageErrors(t *testing.T) {
 		{"run", "-scenario", "no-such-file.json"},
 		{"query", "-in", "no-such-file.json"},
 		{"query", "-in", "x", "-p", "1.5"},
+		{"fromtest"}, // empty stdin holds no benchmark lines
 	} {
-		if err := run(args, &buf); err == nil {
+		if err := run(args, strings.NewReader(""), &buf); err == nil {
 			t.Errorf("run(%v) should fail", args)
 		}
+	}
+}
+
+// TestFromTestUsesSharedParser converts `go test -bench` text through
+// the subcommand, which must go through the shared internal/benchjson
+// parser (a build break or a shape change here means the extraction
+// regressed).
+func TestFromTestUsesSharedParser(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"fromtest"}, strings.NewReader("BenchmarkX-8 10 5.0 ns/op 1 B/op 1 allocs/op\n"), &buf); err != nil {
+		t.Fatal(err)
+	}
+	var rep benchjson.Report
+	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+		t.Fatalf("decode %s: %v", buf.String(), err)
+	}
+	if len(rep.Results) != 1 || rep.Results[0].Name != "BenchmarkX" {
+		t.Fatalf("unexpected report: %+v", rep)
+	}
+
+	out := filepath.Join(t.TempDir(), "BENCH_scan.json")
+	if err := run([]string{"fromtest", "-o", out}, strings.NewReader("BenchmarkX-8 10 5.0 ns/op\n"), &buf); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(out); err != nil || !bytes.Contains(data, []byte(`"BenchmarkX"`)) {
+		t.Fatalf("-o file: %s, %v", data, err)
 	}
 }
 
@@ -99,7 +127,7 @@ func TestProcFleetSmoke(t *testing.T) {
 		"-logdir", t.TempDir(),
 		"-scrape-every", "100ms",
 		"-o", out,
-	}, &buf)
+	}, nil, &buf)
 	if err != nil {
 		t.Fatalf("proc run: %v\n%s", err, buf.String())
 	}

@@ -1,7 +1,7 @@
 // Package benchjson defines the machine-readable benchmark report
 // schema shared by every benchmark artifact in the repo: `make bench`
-// pipes `go test -bench` text through cmd/benchjson into
-// BENCH_scan.json, and the fleet orchestrator (cmd/parsecbench /
+// pipes `go test -bench` text through `parsecbench fromtest` into
+// BENCH_scan.json, and the fleet orchestrator (`parsecbench run` /
 // internal/benchfleet) writes BENCH_cluster.json directly — both files
 // are the same Report document, so trajectory tooling reads one
 // schema. The package also holds LoadSummary, the JSON object
