@@ -408,28 +408,41 @@ func (r *loadResult) fillSummary(sum *benchjson.LoadSummary, total int) {
 }
 
 // serverSideFrom scrapes the target's /metrics into the summary's
-// server section; nil when the scrape fails or reports nothing.
+// server section: batching, result-cache, lattice and router hot-path
+// counters. It is nil when the scrape fails — a transport error, a
+// non-200 answer, or a body that cannot be read in full — or reports
+// nothing.
 func serverSideFrom(client *http.Client, base string) *benchjson.LoadServerSide {
-	sm, ok := scrapeMetrics(client, base)
-	if !ok {
+	resp, err := client.Get(base + "/metrics")
+	if err != nil {
 		return nil
 	}
-	ss := &benchjson.LoadServerSide{
-		Batches:          sm.batchCount,
-		CacheHits:        sm.cacheHits,
-		CacheMisses:      sm.cacheMisses,
-		LatticeRequests:  sm.latticeReqs,
-		LatticePaths:     sm.latticePaths,
-		PrefixHits:       sm.prefixHits,
-		PrefixMisses:     sm.prefixMisses,
-		HotKeyPromotions: sm.hotPromotions,
-		HotKeyDemotions:  sm.hotDemotions,
-		Hedges:           sm.hedges,
-		HedgeWins:        sm.hedgeWins,
-		Sheds:            sm.sheds,
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil
 	}
-	if sm.batchCount > 0 {
-		ss.MeanBatchSize = sm.batchSum / float64(sm.batchCount)
+	fams, err := prom.Parse(resp.Body)
+	if err != nil {
+		return nil
+	}
+	count := func(name string) uint64 { return uint64(prom.Sum(fams, name)) }
+	ss := &benchjson.LoadServerSide{
+		Batches:          count("parsecd_batch_size_count"),
+		CacheHits:        count("parsecd_result_cache_hits_total"),
+		CacheMisses:      count("parsecd_result_cache_misses_total"),
+		LatticeRequests:  count("parsecd_lattice_requests_total"),
+		LatticePaths:     count("parsecd_lattice_paths_expanded_total"),
+		PrefixHits:       count("parsecd_lattice_prefix_cache_hits_total"),
+		PrefixMisses:     count("parsecd_lattice_prefix_cache_misses_total"),
+		HotKeyPromotions: count("parsecrouter_hotkey_promotions_total"),
+		HotKeyDemotions:  count("parsecrouter_hotkey_demotions_total"),
+		Hedges:           count("parsecrouter_hedges_total"),
+		HedgeWins:        count("parsecrouter_hedge_wins_total"),
+		// Labeled by class; both series add into one client-facing number.
+		Sheds: count("parsecrouter_sheds_total"),
+	}
+	if ss.Batches > 0 {
+		ss.MeanBatchSize = prom.Sum(fams, "parsecd_batch_size_sum") / float64(ss.Batches)
 	}
 	if *ss == (benchjson.LoadServerSide{}) {
 		return nil
@@ -468,28 +481,27 @@ func latticeBody(i, slots, alts, utts, timeoutMS int, noCache bool) ([]byte, err
 // printServerSide reports the server's batching and result-cache
 // behaviour for this run, scraped from /metrics.
 func printServerSide(out io.Writer, client *http.Client, url string) {
-	sm, ok := scrapeMetrics(client, url)
-	if !ok {
+	ss := serverSideFrom(client, url)
+	if ss == nil {
 		return
 	}
-	if sm.batchCount > 0 {
-		fmt.Fprintf(out, "server batching: batches=%d mean-batch-size=%.2f\n",
-			sm.batchCount, sm.batchSum/float64(sm.batchCount))
+	if ss.Batches > 0 {
+		fmt.Fprintf(out, "server batching: batches=%d mean-batch-size=%.2f\n", ss.Batches, ss.MeanBatchSize)
 	}
-	if lookups := sm.cacheHits + sm.cacheMisses; lookups > 0 {
+	if lookups := ss.CacheHits + ss.CacheMisses; lookups > 0 {
 		fmt.Fprintf(out, "server result cache: hits=%d misses=%d hit-rate=%.1f%%\n",
-			sm.cacheHits, sm.cacheMisses, 100*float64(sm.cacheHits)/float64(lookups))
+			ss.CacheHits, ss.CacheMisses, 100*float64(ss.CacheHits)/float64(lookups))
 	}
-	if sm.latticeReqs > 0 {
-		fmt.Fprintf(out, "server lattice: requests=%d paths=%d\n", sm.latticeReqs, sm.latticePaths)
+	if ss.LatticeRequests > 0 {
+		fmt.Fprintf(out, "server lattice: requests=%d paths=%d\n", ss.LatticeRequests, ss.LatticePaths)
 	}
-	if lookups := sm.prefixHits + sm.prefixMisses; lookups > 0 {
+	if lookups := ss.PrefixHits + ss.PrefixMisses; lookups > 0 {
 		fmt.Fprintf(out, "server prefix cache: hits=%d misses=%d hit-rate=%.1f%%\n",
-			sm.prefixHits, sm.prefixMisses, 100*float64(sm.prefixHits)/float64(lookups))
+			ss.PrefixHits, ss.PrefixMisses, 100*float64(ss.PrefixHits)/float64(lookups))
 	}
-	if sm.hotPromotions+sm.hedges+sm.sheds > 0 {
+	if ss.HotKeyPromotions+ss.Hedges+ss.Sheds > 0 {
 		fmt.Fprintf(out, "router hot path: hotkey promotions=%d demotions=%d hedges=%d (wins=%d) sheds=%d\n",
-			sm.hotPromotions, sm.hotDemotions, sm.hedges, sm.hedgeWins, sm.sheds)
+			ss.HotKeyPromotions, ss.HotKeyDemotions, ss.Hedges, ss.HedgeWins, ss.Sheds)
 	}
 }
 
@@ -535,54 +547,4 @@ func post(client *http.Client, url string, body []byte) (int, string, time.Durat
 		}
 	}
 	return resp.StatusCode, resp.Header.Get(server.ShardHeader), backoff, nil
-}
-
-// scrapedMetrics is what parsecload reads back from the server's
-// Prometheus exposition after a run.
-type scrapedMetrics struct {
-	batchSum                  float64
-	batchCount                uint64
-	cacheHits, cacheMisses    uint64
-	latticeReqs, latticePaths uint64
-	prefixHits, prefixMisses  uint64
-
-	// Router-side hot-path counters (zero when driving a bare parsecd).
-	hotPromotions, hotDemotions uint64
-	hedges, hedgeWins           uint64
-	sheds                       uint64 // both classes summed
-}
-
-// scrapeMetrics pulls the batching histogram and result-cache counters
-// out of the server's Prometheus text exposition. ok is false when the
-// scrape fails, answers non-200, or its body cannot be read in full.
-func scrapeMetrics(client *http.Client, base string) (sm scrapedMetrics, ok bool) {
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return sm, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return sm, false
-	}
-	fams, err := prom.Parse(resp.Body)
-	if err != nil {
-		return sm, false
-	}
-	count := func(name string) uint64 { return uint64(prom.Sum(fams, name)) }
-	sm.batchSum = prom.Sum(fams, "parsecd_batch_size_sum")
-	sm.batchCount = count("parsecd_batch_size_count")
-	sm.cacheHits = count("parsecd_result_cache_hits_total")
-	sm.cacheMisses = count("parsecd_result_cache_misses_total")
-	sm.latticeReqs = count("parsecd_lattice_requests_total")
-	sm.latticePaths = count("parsecd_lattice_paths_expanded_total")
-	sm.prefixHits = count("parsecd_lattice_prefix_cache_hits_total")
-	sm.prefixMisses = count("parsecd_lattice_prefix_cache_misses_total")
-	sm.hotPromotions = count("parsecrouter_hotkey_promotions_total")
-	sm.hotDemotions = count("parsecrouter_hotkey_demotions_total")
-	sm.hedges = count("parsecrouter_hedges_total")
-	sm.hedgeWins = count("parsecrouter_hedge_wins_total")
-	// The sheds counter is labeled by class; both series add into one
-	// client-facing number.
-	sm.sheds = count("parsecrouter_sheds_total")
-	return sm, true
 }

@@ -319,10 +319,10 @@ func TestLatticeLoadSmoke(t *testing.T) {
 	}
 }
 
-// TestScrapeMetricsReportsFailures: a /metrics answer that is not a
-// complete 200 is a failed scrape, never a zero-valued success — even
-// when the body it did send parses.
-func TestScrapeMetricsReportsFailures(t *testing.T) {
+// TestScrapeReportsFailures: a /metrics answer that is not a complete
+// 200 is a failed scrape, never a zero-valued success — even when the
+// body it did send parses.
+func TestScrapeReportsFailures(t *testing.T) {
 	const body = "parsecd_result_cache_hits_total 3\nparsecd_result_cache_misses_total 1\n"
 	for name, h := range map[string]http.HandlerFunc{
 		"503": func(w http.ResponseWriter, r *http.Request) {
@@ -335,8 +335,8 @@ func TestScrapeMetricsReportsFailures(t *testing.T) {
 		},
 	} {
 		ts := httptest.NewServer(h)
-		if sm, ok := scrapeMetrics(ts.Client(), ts.URL); ok {
-			t.Errorf("%s: scrape reported success: %+v", name, sm)
+		if ss := serverSideFrom(ts.Client(), ts.URL); ss != nil {
+			t.Errorf("%s: scrape reported success: %+v", name, *ss)
 		}
 		ts.Close()
 	}
@@ -345,7 +345,7 @@ func TestScrapeMetricsReportsFailures(t *testing.T) {
 		w.Write([]byte(body)) //nolint:errcheck
 	}))
 	defer ts.Close()
-	if sm, ok := scrapeMetrics(ts.Client(), ts.URL); !ok || sm.cacheHits != 3 || sm.cacheMisses != 1 {
-		t.Errorf("good scrape = %+v,%v want hits=3 misses=1", sm, ok)
+	if ss := serverSideFrom(ts.Client(), ts.URL); ss == nil || ss.CacheHits != 3 || ss.CacheMisses != 1 {
+		t.Errorf("good scrape = %+v, want hits=3 misses=1", ss)
 	}
 }

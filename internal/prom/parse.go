@@ -13,51 +13,23 @@ type Family struct {
 	Samples          []Sample
 }
 
-// Sample is one series line of a family.
+// Sample is one series line. A histogram's samples keep their
+// _bucket/_sum/_count suffix in Name; Labels is the text between the
+// braces, verbatim ("" when the series has none).
 type Sample struct {
-	// Name is the series name; a histogram's samples keep their
-	// _bucket/_sum/_count suffix.
-	Name string
-	// Labels is the text between the braces, verbatim ("" when the
-	// series has no labels).
-	Labels string
-	Value  float64
+	Name, Labels string
+	Value        float64
 }
 
-// Series returns the sample's series id: its name and label set.
-func (s Sample) Series() string {
-	if s.Labels == "" {
-		return s.Name
-	}
-	return s.Name + "{" + s.Labels + "}"
-}
-
-// Label returns the unescaped value of the named label.
+// Label returns the named label's value. Values are split at commas
+// and not unescaped: enough for the numeric le bounds it is used for.
 func (s Sample) Label(name string) (string, bool) {
-	rest := s.Labels
-	for {
-		k, v, ok := strings.Cut(rest, "=")
-		if !ok || !strings.HasPrefix(v, `"`) {
-			return "", false
+	for _, pair := range strings.Split(s.Labels, ",") {
+		if k, v, ok := strings.Cut(pair, "="); ok && strings.TrimSpace(k) == name {
+			return strings.Trim(strings.TrimSpace(v), `"`), true
 		}
-		end := 1
-		for end < len(v) && v[end] != '"' {
-			if v[end] == '\\' {
-				end++
-			}
-			end++
-		}
-		if end >= len(v) {
-			return "", false
-		}
-		if strings.TrimSpace(k) == name {
-			if u, err := strconv.Unquote(v[:end+1]); err == nil {
-				return u, true
-			}
-			return v[1:end], true
-		}
-		rest = strings.TrimLeft(v[end+1:], ", ")
 	}
+	return "", false
 }
 
 // Sum adds up the values of every sample named name, across label sets
@@ -79,74 +51,57 @@ func Sum(fams []Family, name string) float64 {
 // when a HELP or TYPE line declares one; a _bucket, _sum or _count
 // sample otherwise belongs to the histogram family its TYPE line
 // declares. Ownership depends only on the declarations, not on where
-// they sit, so Parse of Family output yields the same families. Lines
+// they sit, so Family output parses back to the same families. Lines
 // that do not parse are skipped: scrapes are best effort. A family's
 // first HELP and TYPE lines win.
 func Parse(r io.Reader) ([]Family, error) {
-	type header struct{ help, typ string }
 	type line struct {
 		family string // a HELP/TYPE line's family; "" for a sample
 		sample Sample
 	}
-	declared := make(map[string]*header)
+	declared := make(map[string]*Family)
 	var lines []line
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		text := strings.TrimSpace(sc.Text())
-		rest, isHelp := strings.CutPrefix(text, "# HELP ")
-		isType := false
-		if !isHelp {
-			rest, isType = strings.CutPrefix(text, "# TYPE ")
-		}
-		if !isHelp && !isType {
-			if s, ok := parseSample(text); ok {
-				lines = append(lines, line{sample: s})
+		if f := strings.SplitN(text, " ", 4); len(f) == 4 && f[0] == "#" && (f[1] == "HELP" || f[1] == "TYPE") && f[2] != "" {
+			d := declared[f[2]]
+			if d == nil {
+				d = &Family{Name: f[2]}
+				declared[f[2]] = d
 			}
-			continue
+			if f[1] == "HELP" && d.Help == "" {
+				d.Help = f[3]
+			} else if f[1] == "TYPE" && d.Type == "" {
+				d.Type = f[3]
+			}
+			lines = append(lines, line{family: f[2]})
+		} else if s, ok := parseSample(text); ok {
+			lines = append(lines, line{sample: s})
 		}
-		name, val, ok := strings.Cut(rest, " ")
-		if !ok || name == "" {
-			continue
-		}
-		h := declared[name]
-		if h == nil {
-			h = &header{}
-			declared[name] = h
-		}
-		if isHelp && h.help == "" {
-			h.help = val
-		} else if !isHelp && h.typ == "" {
-			h.typ = val
-		}
-		lines = append(lines, line{family: name})
 	}
 
-	owner := func(name string) string {
-		if declared[name] == nil {
-			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-				base, cut := strings.CutSuffix(name, suffix)
-				if h := declared[base]; cut && h != nil && h.typ == "histogram" {
-					return base
-				}
-			}
-		}
-		return name
-	}
 	var fams []Family
 	index := make(map[string]int)
 	for _, l := range lines {
 		name := l.family
 		if name == "" {
-			name = owner(l.sample.Name)
+			name = l.sample.Name
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				base, ok := strings.CutSuffix(name, suffix)
+				if d := declared[base]; ok && declared[name] == nil && d != nil && d.Type == "histogram" {
+					name = base
+					break
+				}
+			}
 		}
 		i, ok := index[name]
 		if !ok {
-			i = len(fams)
-			index[name] = i
+			i, index[name] = len(fams), len(fams)
 			f := Family{Name: name}
-			if h := declared[name]; h != nil {
-				f.Help, f.Type = h.help, h.typ
+			if d := declared[name]; d != nil {
+				f = *d
 			}
 			fams = append(fams, f)
 		}
@@ -157,9 +112,8 @@ func Parse(r io.Reader) ([]Family, error) {
 	return fams, sc.Err()
 }
 
-// parseSample decodes `name{labels} value` or `name value`. The value
-// is the text after the last space; label values in these expositions
-// never end in an unescaped space followed by a number.
+// parseSample decodes `name{labels} value` or `name value`: the value
+// is the text after the last space.
 func parseSample(line string) (Sample, bool) {
 	sp := strings.LastIndexByte(line, ' ')
 	if sp < 0 || line[0] == '#' {

@@ -7,16 +7,15 @@
 package prom
 
 import (
+	"fmt"
 	"io"
 	"strconv"
+	"strings"
 )
 
 // Writer renders exposition lines. Write errors are dropped: a scrape
 // is best effort, and the scraper's connection reports its own failure.
-type Writer struct {
-	w   io.Writer
-	buf []byte
-}
+type Writer struct{ w io.Writer }
 
 // NewWriter returns a Writer on w.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
@@ -25,12 +24,10 @@ func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 // its text is non-empty.
 func (w *Writer) Header(name, help, typ string) {
 	if help != "" {
-		w.buf = append(append(append(append(w.buf, "# HELP "...), name...), ' '), help...)
-		w.line()
+		fmt.Fprintf(w.w, "# HELP %s %s\n", name, help)
 	}
 	if typ != "" {
-		w.buf = append(append(append(append(w.buf, "# TYPE "...), name...), ' '), typ...)
-		w.line()
+		fmt.Fprintf(w.w, "# TYPE %s %s\n", name, typ)
 	}
 }
 
@@ -44,15 +41,19 @@ func (w *Writer) Counter(name, help string, v uint64) {
 // decimals.
 func (w *Writer) Gauge(name, help string, v float64) {
 	w.Header(name, help, "gauge")
-	w.buf = strconv.AppendFloat(append(append(w.buf, name...), ' '), v, 'f', 3, 64)
-	w.line()
+	fmt.Fprintf(w.w, "%s %.3f\n", name, v)
 }
 
 // Uint writes one integer sample; labels are name, value pairs.
 func (w *Writer) Uint(name string, v uint64, labels ...string) {
-	w.series(name, labels)
-	w.buf = strconv.AppendUint(w.buf, v, 10)
-	w.line()
+	var b strings.Builder
+	for i := 0; i+1 < len(labels); i += 2 {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(labels[i] + "=" + strconv.Quote(labels[i+1]))
+	}
+	w.sample(name, b.String(), strconv.FormatUint(v, 10))
 }
 
 // Histogram writes h as a histogram family: the cumulative buckets in
@@ -60,13 +61,11 @@ func (w *Writer) Uint(name string, v uint64, labels ...string) {
 func (w *Writer) Histogram(name, help string, h *Histogram) {
 	bounds, cum, sum, count := h.snapshot()
 	w.Header(name, help, "histogram")
-	bucket := name + "_bucket"
 	for i, b := range bounds {
-		w.Uint(bucket, cum[i], "le", formatBound(b))
+		w.Uint(name+"_bucket", cum[i], "le", formatBound(b))
 	}
-	w.Uint(bucket, cum[len(cum)-1], "le", "+Inf")
-	w.buf = append(append(append(w.buf, name...), "_sum "...), formatBound(sum)...)
-	w.line()
+	w.Uint(name+"_bucket", cum[len(cum)-1], "le", "+Inf")
+	w.sample(name+"_sum", "", formatBound(sum))
 	w.Uint(name+"_count", count)
 }
 
@@ -75,34 +74,14 @@ func (w *Writer) Histogram(name, help string, h *Histogram) {
 func (w *Writer) Family(f *Family) {
 	w.Header(f.Name, f.Help, f.Type)
 	for _, s := range f.Samples {
-		w.buf = append(w.buf, s.Name...)
-		if s.Labels != "" {
-			w.buf = append(append(append(w.buf, '{'), s.Labels...), '}')
-		}
-		w.buf = strconv.AppendFloat(append(w.buf, ' '), s.Value, 'g', -1, 64)
-		w.line()
+		w.sample(s.Name, s.Labels, strconv.FormatFloat(s.Value, 'g', -1, 64))
 	}
 }
 
-// series appends `name{k="v",...} ` to the line buffer.
-func (w *Writer) series(name string, labels []string) {
-	w.buf = append(w.buf, name...)
-	for i := 0; i+1 < len(labels); i += 2 {
-		sep := byte(',')
-		if i == 0 {
-			sep = '{'
-		}
-		w.buf = strconv.AppendQuote(append(append(append(w.buf, sep), labels[i]...), '='), labels[i+1])
+func (w *Writer) sample(name, labels, value string) {
+	if labels != "" {
+		fmt.Fprintf(w.w, "%s{%s} %s\n", name, labels, value)
+		return
 	}
-	if len(labels) > 1 {
-		w.buf = append(w.buf, '}')
-	}
-	w.buf = append(w.buf, ' ')
-}
-
-// line terminates and writes the buffered line.
-func (w *Writer) line() {
-	w.buf = append(w.buf, '\n')
-	w.w.Write(w.buf) //nolint:errcheck // best effort, see Writer
-	w.buf = w.buf[:0]
+	fmt.Fprintf(w.w, "%s %s\n", name, value)
 }

@@ -1,7 +1,6 @@
 package router
 
 import (
-	"bytes"
 	"sort"
 	"strconv"
 
@@ -19,79 +18,58 @@ import (
 // the backpressure signal a fleet operator needs, and the rename keeps
 // the series honest about not being the one-node gauge.
 
-// fleetFamily accumulates one family across shard scrapes.
-type fleetFamily struct {
-	prom.Family                // Samples carry the per-series sums
-	max         []float64      // per-series max across scrapes, aligned with Samples
-	index       map[string]int // series id → position in Samples
-}
-
-// aggregate folds shard expositions into the fleet's families, sorted
-// by name: counters and histograms summed under their own names and
-// headers, gauges as the max across shards under the `_max`-suffixed
-// name. Sum and max
-// are both tracked, so the fold does not depend on whether a family's
-// TYPE line arrives before its samples.
-func aggregate(bodies [][]byte) []prom.Family {
-	byName := make(map[string]*fleetFamily)
-	family := func(name string) *fleetFamily {
-		f, ok := byName[name]
-		if !ok {
-			f = &fleetFamily{Family: prom.Family{Name: name}, index: make(map[string]int)}
-			byName[name] = f
-		}
-		return f
-	}
-	for _, body := range bodies {
-		// Best effort: a scrape cut short still contributes what parsed.
-		fams, _ := prom.Parse(bytes.NewReader(body))
+// aggregate folds the shards' parsed scrapes into the fleet's
+// families, sorted by name, each under its shards' header: counters and
+// histograms summed, gauges as the max across shards under the
+// `_max`-suffixed name.
+func aggregate(scrapes [][]prom.Family) []prom.Family {
+	byName := make(map[string]*prom.Family)
+	index := make(map[string]int) // family name + series → position in Samples
+	for _, fams := range scrapes {
 		for _, pf := range fams {
-			f := family(pf.Name)
-			if f.Help == "" {
-				f.Help = pf.Help
-			}
-			if f.Type == "" {
-				f.Type = pf.Type
+			f := byName[pf.Name]
+			if f == nil {
+				f = &prom.Family{Name: pf.Name, Help: pf.Help, Type: pf.Type}
+				byName[pf.Name] = f
 			}
 			for _, s := range pf.Samples {
-				id := s.Series()
-				i, ok := f.index[id]
-				if !ok {
-					i = len(f.Samples)
-					f.index[id] = i
-					f.Samples = append(f.Samples, prom.Sample{Name: s.Name, Labels: s.Labels})
-					f.max = append(f.max, s.Value)
-				}
-				f.Samples[i].Value += s.Value
-				if s.Value > f.max[i] {
-					f.max[i] = s.Value
+				id := pf.Name + "\x00" + s.Name + "{" + s.Labels + "}"
+				i, ok := index[id]
+				switch {
+				case !ok:
+					index[id] = len(f.Samples)
+					f.Samples = append(f.Samples, s)
+				case f.Type == "gauge":
+					f.Samples[i].Value = max(f.Samples[i].Value, s.Value)
+				default:
+					f.Samples[i].Value += s.Value
 				}
 			}
 		}
 	}
 
 	names := make([]string, 0, len(byName))
-	for n, f := range byName {
-		if len(f.Samples) > 0 {
-			names = append(names, n)
-		}
+	for n := range byName {
+		names = append(names, n)
 	}
 	sort.Strings(names)
-	out := make([]prom.Family, len(names))
-	for k, n := range names {
+	var out []prom.Family
+	for _, n := range names {
 		f := byName[n]
+		if len(f.Samples) == 0 {
+			continue
+		}
 		if f.Type == "gauge" {
-			f.Name = n + "_max"
+			for i := range f.Samples {
+				f.Samples[i].Name += "_max"
+			}
+			f.Name += "_max"
 			if f.Help != "" {
 				f.Help = "max across shards: " + f.Help
 			}
-			for i := range f.Samples {
-				f.Samples[i].Name = f.Name + f.Samples[i].Name[len(n):]
-				f.Samples[i].Value = f.max[i]
-			}
 		}
 		sort.Slice(f.Samples, func(i, j int) bool { return seriesLess(f.Samples[i], f.Samples[j]) })
-		out[k] = f.Family
+		out = append(out, *f)
 	}
 	return out
 }
@@ -102,14 +80,12 @@ func seriesLess(a, b prom.Sample) bool {
 	if a.Name != b.Name {
 		return a.Name < b.Name
 	}
-	la, aok := a.Label("le")
-	lb, bok := b.Label("le")
-	if aok && bok {
-		fa, aerr := strconv.ParseFloat(la, 64)
-		fb, berr := strconv.ParseFloat(lb, 64)
-		if aerr == nil && berr == nil && fa != fb {
-			return fa < fb
-		}
+	la, _ := a.Label("le")
+	lb, _ := b.Label("le")
+	fa, aerr := strconv.ParseFloat(la, 64)
+	fb, berr := strconv.ParseFloat(lb, 64)
+	if aerr == nil && berr == nil && fa != fb {
+		return fa < fb
 	}
 	return a.Labels < b.Labels
 }

@@ -678,46 +678,42 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	eligible := r.fleet.eligible()
-	type scrape struct {
-		body []byte
-		err  error
-	}
-	scrapes := make([]scrape, len(eligible))
+	scrapes := make([][]prom.Family, len(eligible))
 	var wg sync.WaitGroup
 	for i, shard := range eligible {
 		wg.Add(1)
 		go func(i int, shard string) {
 			defer wg.Done()
-			mreq, err := http.NewRequestWithContext(req.Context(), http.MethodGet, shard+"/metrics", nil)
+			fams, err := r.scrapeShard(req.Context(), shard)
 			if err != nil {
-				scrapes[i] = scrape{err: err}
+				r.m.scrapeErrors.Add(1)
 				return
 			}
-			resp, err := r.client.Do(mreq)
-			if err != nil {
-				scrapes[i] = scrape{err: err}
-				return
-			}
-			defer resp.Body.Close()
-			body, err := io.ReadAll(io.LimitReader(resp.Body, 8*maxBody))
-			if err == nil && resp.StatusCode != http.StatusOK {
-				err = fmt.Errorf("status %d", resp.StatusCode)
-			}
-			scrapes[i] = scrape{body: body, err: err}
+			scrapes[i] = fams
 		}(i, shard)
 	}
 	wg.Wait()
-	var bodies [][]byte
-	for i := range scrapes {
-		if scrapes[i].err != nil {
-			r.m.scrapeErrors.Add(1)
-			continue
-		}
-		bodies = append(bodies, scrapes[i].body)
-	}
 	p := prom.NewWriter(w)
-	for _, f := range aggregate(bodies) {
+	for _, f := range aggregate(scrapes) {
 		p.Family(&f)
 	}
 	r.m.writePrometheus(w, r.fleet.snapshot())
+}
+
+// scrapeShard fetches and parses one shard's /metrics. A body past the
+// size cap is cut off and contributes what parsed before it.
+func (r *Router) scrapeShard(ctx context.Context, shard string) ([]prom.Family, error) {
+	mreq, err := http.NewRequestWithContext(ctx, http.MethodGet, shard+"/metrics", nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := r.client.Do(mreq)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("status %d", resp.StatusCode)
+	}
+	return prom.Parse(io.LimitReader(resp.Body, 8*maxBody))
 }

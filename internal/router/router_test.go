@@ -164,7 +164,15 @@ garbage line without a number x
 `
 	var out strings.Builder
 	p := prom.NewWriter(&out)
-	for _, f := range aggregate([][]byte{[]byte(a), []byte(b)}) {
+	var scrapes [][]prom.Family
+	for _, body := range []string{a, b} {
+		fams, err := prom.Parse(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		scrapes = append(scrapes, fams)
+	}
+	for _, f := range aggregate(scrapes) {
 		p.Family(&f)
 	}
 	text := out.String()
