@@ -29,8 +29,14 @@ func aggregate(scrapes [][]prom.Family) []prom.Family {
 		for _, pf := range fams {
 			f := byName[pf.Name]
 			if f == nil {
-				f = &prom.Family{Name: pf.Name, Help: pf.Help, Type: pf.Type}
+				f = &prom.Family{Name: pf.Name}
 				byName[pf.Name] = f
+			}
+			if f.Help == "" {
+				f.Help = pf.Help
+			}
+			if f.Type == "" {
+				f.Type = pf.Type
 			}
 			for _, s := range pf.Samples {
 				id := pf.Name + "\x00" + s.Name + "{" + s.Labels + "}"

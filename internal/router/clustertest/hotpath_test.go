@@ -165,8 +165,12 @@ func TestHotKeyReplicationSpreadsPrefixKeepsHitRate(t *testing.T) {
 func TestHedgeFiresOnceCancelsLoserCountsOnce(t *testing.T) {
 	c := New(t, 3, server.Config{}, router.Config{
 		ReplicateTop: 1, ReplicaFactor: 2, HotKeyShare: hotShare, HotKeyWindow: hotWindow,
-		Hedge:      true,
-		HedgeDelay: -1, // hedge immediately: the deterministic-test setting
+		Hedge: true,
+		// Hedge only after the primary has had ample time to reach its
+		// shard: an immediate hedge can win from the replica's cache and
+		// cancel the primary before it is sent, and then no cancellation
+		// ever reaches the stalled shard.
+		HedgeDelay: 100 * time.Millisecond,
 	})
 	hot := serialReq(workload.DemoSentence(5))
 	var owner string
