@@ -100,7 +100,7 @@ bench-smoke:
 BENCHBIN := .benchbin
 bench-cluster-bin:
 	@mkdir -p $(BENCHBIN)
-	$(GO) build -o $(BENCHBIN)/ ./cmd/parsecd ./cmd/parsecrouter ./cmd/parsecload ./cmd/parsecbench
+	$(GO) build -o $(BENCHBIN)/ ./cmd/parsecd ./cmd/parsecrouter ./cmd/parsecbench
 
 # bench-cluster runs the full 3-shard zipf + kill + lattice scenario.
 bench-cluster: bench-cluster-bin

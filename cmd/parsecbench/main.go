@@ -61,7 +61,7 @@ func runScenario(args []string, out io.Writer) error {
 	var (
 		scenPath = fs.String("scenario", "", "scenario JSON file (required)")
 		mode     = fs.String("mode", "inproc", "fleet mode: inproc (httptest harness, deterministic) or proc (real local processes)")
-		binDir   = fs.String("bin", ".benchbin", "directory with parsecd/parsecrouter/parsecload binaries (-mode proc)")
+		binDir   = fs.String("bin", ".benchbin", "directory with parsecd/parsecrouter binaries (-mode proc)")
 		logDir   = fs.String("logdir", "", "directory for per-process logs (-mode proc; empty discards)")
 		outPath  = fs.String("o", "BENCH_cluster.json", "output report path (- for stdout)")
 		every    = fs.Duration("scrape-every", 250*time.Millisecond, "mid-phase /metrics scrape cadence (-mode proc; inproc scrapes only at phase boundaries)")
@@ -98,7 +98,6 @@ func runScenario(args []string, out io.Writer) error {
 			return err
 		}
 		fleet = f
-		opts.Load = benchfleet.ParsecloadLoad(*binDir, sc)
 		opts.ScrapeEvery = *every
 	default:
 		return fmt.Errorf("unknown -mode %q (want inproc or proc)", *mode)

@@ -151,12 +151,17 @@ func TestProcFleetSmoke(t *testing.T) {
 	if row, ok := names["Fleet/smoke/total"]; !ok || row.Iterations != 140 {
 		t.Fatalf("total row = %+v,%v want 140 iterations", row, ok)
 	}
-	// Non-empty per-shard p99 series: the surviving shard exposes a
-	// latency histogram with observations in the kill phase...
+	// Per-shard p99 comes from per-request records, as in-process: the
+	// survivor answered the kill phase and the killed shard1 answered
+	// none of it...
 	warm := benchfleet.Query{Phase: "warm"}
 	kill := benchfleet.Query{Phase: "kill"}
-	if v, ok := st.HistQuantile("parsecd_parse_latency_seconds", "shard0", kill, 0.99); !ok || v <= 0 {
-		t.Fatalf("shard0 kill-phase scraped p99 = %g,%v want > 0", v, ok)
+	byShard := st.QuantileByShard("kill", 0.99)
+	if v, ok := byShard["shard0"]; !ok || v <= 0 {
+		t.Fatalf("shard0 kill-phase p99 = %d,%v want > 0 (byShard=%v)", v, ok, byShard)
+	}
+	if _, ok := byShard["shard1"]; ok {
+		t.Fatalf("killed shard1 answered requests during the kill phase: %v", byShard)
 	}
 	// ...and the zipf warm phase produced result-cache hits.
 	if hr, ok := st.HitRate("shard0", warm); !ok || hr <= 0 {

@@ -1,7 +1,8 @@
 // Command parsecload drives a running parsecd with concurrent
-// mixed-grammar traffic generated by internal/workload and reports
-// client-side throughput and latency percentiles plus the server's
-// batching and result-cache behaviour scraped from /metrics.
+// mixed-grammar traffic and reports client-side throughput and latency
+// percentiles plus the server's batching and result-cache behaviour
+// scraped from /metrics. The request mix and the closed loop are
+// internal/loadgen's, the same the fleet benchmark sends.
 //
 // Usage:
 //
@@ -14,25 +15,21 @@
 package main
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/benchjson"
+	"repro/internal/loadgen"
 	"repro/internal/prom"
-	"repro/internal/server"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -98,54 +95,19 @@ func run(args []string, out io.Writer) error {
 	if *seed == 0 {
 		*seed = time.Now().UnixNano()
 	}
-	rng := rand.New(rand.NewSource(*seed))
-	endpoint := "/v1/parse"
-	if *latt {
-		endpoint = "/v1/lattice"
+	mix := loadgen.Mix{
+		Grammars: names, Backend: *backend, MaxLen: *maxLen,
+		ZipfS: *zipfS, ZipfPool: *zipfN,
+		Lattice: *latt, LatticeSlots: *lattSl, LatticeAlts: *lattAl, LatticeUtterances: *lattUt,
+		TimeoutMS: *timeout, NoCache: *noCache,
 	}
-	gen := func(i int) ([]byte, error) {
-		if *latt {
-			return latticeBody(i, *lattSl, *lattAl, *lattUt, *timeout, *noCache)
-		}
-		name := names[i%len(names)]
-		if *zipfS == 0 {
-			name = names[rng.Intn(len(names))]
-		}
-		return json.Marshal(server.ParseRequest{
-			Grammar:   name,
-			Backend:   *backend,
-			Sentence:  sentenceFor(name, rng, *maxLen),
-			TimeoutMS: *timeout,
-			MaxParses: 1,
-			NoCache:   *noCache,
-		})
+	reqs, err := mix.Bodies(*total, *seed)
+	if err != nil {
+		return err
 	}
-	reqs := make([][]byte, *total)
-	if *zipfS > 0 {
-		// Skewed reuse: a fixed pool of distinct sentences, requests drawn
-		// Zipf(s) so a few sentences dominate — the result cache's case.
-		pool := make([][]byte, *zipfN)
-		for i := range pool {
-			body, err := gen(i)
-			if err != nil {
-				return err
-			}
-			pool[i] = body
-		}
-		z := rand.NewZipf(rng, *zipfS, 1, uint64(len(pool)-1))
-		for i := range reqs {
-			reqs[i] = pool[z.Uint64()]
-		}
-	} else {
-		for i := range reqs {
-			body, err := gen(i)
-			if err != nil {
-				return err
-			}
-			reqs[i] = body
-		}
-	}
+	endpoint := *url + mix.Endpoint()
 
+	ctx := context.Background()
 	client := &http.Client{Timeout: 2 * time.Minute}
 	mode := "parse"
 	if *latt {
@@ -165,18 +127,18 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *ramp {
-		return runRamp(out, client, *url+endpoint, reqs, *conc, *rampLat, *rampMax, *url, sum, *jsonOut)
+		return runRamp(ctx, out, client, endpoint, reqs, *conc, *rampLat, *rampMax, *url, sum, *jsonOut)
 	}
 
 	// Client-observed latency, bucketed exactly like the server's
 	// parsecd_parse_latency_seconds so the two histograms line up when
 	// compared side by side (the gap between them is queueing + HTTP).
 	latHist := prom.NewHistogram(prom.LatencyBuckets()...)
-	res := runLoad(client, *url+endpoint, reqs, *conc, latHist)
+	res := runLoad(ctx, client, endpoint, reqs, *conc, latHist)
 
 	if *jsonOut {
 		res.fillSummary(sum, *total)
-		sum.Server = serverSideFrom(client, *url)
+		sum.Server = serverSideFrom(ctx, client, *url)
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		return enc.Encode(sum)
@@ -194,7 +156,7 @@ func run(args []string, out io.Writer) error {
 		res.pct(0.50).Round(time.Microsecond), res.pct(0.90).Round(time.Microsecond),
 		res.pct(0.99).Round(time.Microsecond), res.pct(1.0).Round(time.Microsecond))
 
-	printServerSide(out, client, *url)
+	printServerSide(ctx, out, client, *url)
 	if *hist {
 		p := prom.NewWriter(out)
 		p.Histogram("parsecload_request_latency_seconds", "client-observed end-to-end request latency", latHist)
@@ -226,16 +188,7 @@ func (r *loadResult) throughput() float64 {
 	return float64(len(r.lats)) / r.elapsed.Seconds()
 }
 
-func (r *loadResult) pct(p float64) time.Duration {
-	if len(r.lats) == 0 {
-		return 0
-	}
-	i := int(p*float64(len(r.lats))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return r.lats[i]
-}
+func (r *loadResult) pct(p float64) time.Duration { return loadgen.Quantile(r.lats, p) }
 
 func (r *loadResult) codes() []int {
 	var codes []int
@@ -258,57 +211,26 @@ func (r *loadResult) shards() []string {
 // runLoad fires every request in reqs at the given concurrency against
 // endpoint (a full URL including path) and collects latencies. latHist
 // may be nil.
-func runLoad(client *http.Client, endpoint string, reqs [][]byte, conc int, latHist *prom.Histogram) *loadResult {
+func runLoad(ctx context.Context, client *http.Client, endpoint string, reqs [][]byte, conc int, latHist *prom.Histogram) *loadResult {
 	res := &loadResult{byStatus: map[int]int{}, byShard: map[string]int{}}
-	var (
-		next atomic.Int64
-		mu   sync.Mutex
-	)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				t0 := time.Now()
-				status, shard, retryAfter, err := post(client, endpoint, reqs[i])
-				lat := time.Since(t0)
-				mu.Lock()
-				if err != nil {
-					res.errs++
-				} else {
-					res.byStatus[status]++
-					if status == http.StatusTooManyRequests {
-						res.sheds++
-					}
-					if shard != "" {
-						res.byShard[shard]++
-					}
-					res.lats = append(res.lats, lat)
-					if latHist != nil {
-						latHist.Observe(lat.Seconds())
-					}
-					if retryAfter > 0 {
-						res.backoff += retryAfter
-					}
-				}
-				mu.Unlock()
-				if retryAfter > 0 {
-					// Honor the server's backpressure hint before this worker
-					// sends again — the closed loop backs off instead of
-					// hammering a shedding fleet.
-					time.Sleep(retryAfter)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	res.elapsed = time.Since(start)
+	res.elapsed = loadgen.Drive(ctx, client, endpoint, reqs, conc, func(o loadgen.Outcome) {
+		if o.Err != nil {
+			res.errs++
+			return
+		}
+		res.byStatus[o.Status]++
+		if o.Status == http.StatusTooManyRequests {
+			res.sheds++
+		}
+		if o.Shard != "" {
+			res.byShard[o.Shard]++
+		}
+		res.lats = append(res.lats, o.Latency)
+		if latHist != nil {
+			latHist.Observe(o.Latency.Seconds())
+		}
+		res.backoff += o.Backoff
+	})
 	sort.Slice(res.lats, func(i, j int) bool { return res.lats[i] < res.lats[j] })
 	return res
 }
@@ -319,7 +241,7 @@ func runLoad(client *http.Client, endpoint string, reqs [][]byte, conc int, latH
 // request URL; base is the server root for the /metrics scrape. With
 // jsonOut the step record lands in sum.Ramp and the summary is the
 // only stdout output.
-func runRamp(out io.Writer, client *http.Client, endpoint string, reqs [][]byte, startConc int, target time.Duration, maxSteps int, base string, sum *benchjson.LoadSummary, jsonOut bool) error {
+func runRamp(ctx context.Context, out io.Writer, client *http.Client, endpoint string, reqs [][]byte, startConc int, target time.Duration, maxSteps int, base string, sum *benchjson.LoadSummary, jsonOut bool) error {
 	if !jsonOut {
 		fmt.Fprintf(out, "ramp: target p50=%v, %d requests/step, up to %d steps\n", target, len(reqs), maxSteps)
 	}
@@ -327,7 +249,7 @@ func runRamp(out io.Writer, client *http.Client, endpoint string, reqs [][]byte,
 	bestConc, bestThroughput := 0, 0.0
 	c := startConc
 	for step := 1; step <= maxSteps; step++ {
-		res := runLoad(client, endpoint, reqs, c, nil)
+		res := runLoad(ctx, client, endpoint, reqs, c, nil)
 		p50 := res.pct(0.50)
 		// A shed step is over budget by definition: the fleet refused
 		// load, so there is no point doubling concurrency into it. The
@@ -362,7 +284,7 @@ func runRamp(out io.Writer, client *http.Client, endpoint string, reqs [][]byte,
 	rampSum.BestConc, rampSum.BestThroughput = bestConc, bestThroughput
 	if jsonOut {
 		sum.Ramp = rampSum
-		sum.Server = serverSideFrom(client, base)
+		sum.Server = serverSideFrom(ctx, client, base)
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		return enc.Encode(sum)
@@ -373,7 +295,7 @@ func runRamp(out io.Writer, client *http.Client, endpoint string, reqs [][]byte,
 		fmt.Fprintf(out, "ramp result: max sustainable c=%d at %.1f req/s within p50 %v\n",
 			bestConc, bestThroughput, target)
 	}
-	printServerSide(out, client, base)
+	printServerSide(ctx, out, client, base)
 	return nil
 }
 
@@ -412,16 +334,8 @@ func (r *loadResult) fillSummary(sum *benchjson.LoadSummary, total int) {
 // counters. It is nil when the scrape fails — a transport error, a
 // non-200 answer, or a body that cannot be read in full — or reports
 // nothing.
-func serverSideFrom(client *http.Client, base string) *benchjson.LoadServerSide {
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	fams, err := prom.Parse(resp.Body)
+func serverSideFrom(ctx context.Context, client *http.Client, base string) *benchjson.LoadServerSide {
+	fams, err := loadgen.Scrape(ctx, client, base)
 	if err != nil {
 		return nil
 	}
@@ -450,38 +364,10 @@ func serverSideFrom(client *http.Client, base string) *benchjson.LoadServerSide 
 	return ss
 }
 
-// latticeBody builds the i-th lattice-mode request body. Requests cycle
-// through a fixed pool of utts distinct utterances, so every utterance
-// id repeats across the run and its affinity shard serves the repeats
-// from warm prefix snapshots — the serving path the mode exists to
-// exercise. Each utterance's lattice is a deterministic function of its
-// index (workload.EnglishLattice variant), with per-slot scores
-// descending in n-best order.
-func latticeBody(i, slots, alts, utts, timeoutMS int, noCache bool) ([]byte, error) {
-	uidx := i % utts
-	grid := workload.EnglishLattice(slots, alts, uint64(uidx))
-	ls := make([][]server.LatticeAlt, len(grid))
-	for s, words := range grid {
-		row := make([]server.LatticeAlt, len(words))
-		for j, w := range words {
-			row[j] = server.LatticeAlt{Word: w, Score: 0.9 - 0.15*float64(j)}
-		}
-		ls[s] = row
-	}
-	return json.Marshal(server.LatticeRequest{
-		Grammar:     "english",
-		UtteranceID: fmt.Sprintf("load-utt-%d", uidx),
-		Slots:       ls,
-		MaxParses:   1,
-		TimeoutMS:   timeoutMS,
-		NoCache:     noCache,
-	})
-}
-
 // printServerSide reports the server's batching and result-cache
 // behaviour for this run, scraped from /metrics.
-func printServerSide(out io.Writer, client *http.Client, url string) {
-	ss := serverSideFrom(client, url)
+func printServerSide(ctx context.Context, out io.Writer, client *http.Client, url string) {
+	ss := serverSideFrom(ctx, client, url)
 	if ss == nil {
 		return
 	}
@@ -503,48 +389,4 @@ func printServerSide(out io.Writer, client *http.Client, url string) {
 		fmt.Fprintf(out, "router hot path: hotkey promotions=%d demotions=%d hedges=%d (wins=%d) sheds=%d\n",
 			ss.HotKeyPromotions, ss.HotKeyDemotions, ss.Hedges, ss.HedgeWins, ss.Sheds)
 	}
-}
-
-// sentenceFor picks a grammatical-shape sentence for the named grammar
-// from the workload generators.
-func sentenceFor(name string, rng *rand.Rand, maxLen int) []string {
-	switch name {
-	case "english":
-		n := 3 + rng.Intn(max(1, maxLen-2))
-		return workload.EnglishSentence(n)
-	case "ww":
-		n := 1 + rng.Intn(3)
-		return workload.CopyString(n, rng.Uint64())
-	case "dyck":
-		return workload.BalancedParens(1 + rng.Intn(3))
-	default: // demo and anything else demo-shaped
-		n := 1 + rng.Intn(max(1, maxLen))
-		return workload.DemoSentence(n)
-	}
-}
-
-// retryAfterCap bounds how long a worker honors one Retry-After hint.
-const retryAfterCap = 5 * time.Second
-
-// post returns the HTTP status, the serving shard's name (the
-// X-Parsec-Shard response header; empty when the server doesn't
-// shard), and the Retry-After backoff the response asked for (zero
-// when absent; only 429/503 responses are consulted).
-func post(client *http.Client, url string, body []byte) (int, string, time.Duration, error) {
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, "", 0, err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	var backoff time.Duration
-	if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-		if secs, err := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After"))); err == nil && secs > 0 {
-			backoff = time.Duration(secs) * time.Second
-			if backoff > retryAfterCap {
-				backoff = retryAfterCap
-			}
-		}
-	}
-	return resp.StatusCode, resp.Header.Get(server.ShardHeader), backoff, nil
 }

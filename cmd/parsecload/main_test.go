@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -335,7 +336,7 @@ func TestScrapeReportsFailures(t *testing.T) {
 		},
 	} {
 		ts := httptest.NewServer(h)
-		if ss := serverSideFrom(ts.Client(), ts.URL); ss != nil {
+		if ss := serverSideFrom(context.Background(), ts.Client(), ts.URL); ss != nil {
 			t.Errorf("%s: scrape reported success: %+v", name, *ss)
 		}
 		ts.Close()
@@ -345,7 +346,7 @@ func TestScrapeReportsFailures(t *testing.T) {
 		w.Write([]byte(body)) //nolint:errcheck
 	}))
 	defer ts.Close()
-	if ss := serverSideFrom(ts.Client(), ts.URL); ss == nil || ss.CacheHits != 3 || ss.CacheMisses != 1 {
+	if ss := serverSideFrom(context.Background(), ts.Client(), ts.URL); ss == nil || ss.CacheHits != 3 || ss.CacheMisses != 1 {
 		t.Errorf("good scrape = %+v, want hits=3 misses=1", ss)
 	}
 }

@@ -1,112 +1,26 @@
 package benchfleet
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
-	"math/rand"
+	"context"
 	"net/http"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"repro/internal/server"
-	"repro/internal/workload"
+	"repro/internal/loadgen"
 )
 
-// Lattice-mix shape (slots × alternatives over a fixed utterance
-// pool). Matches parsecload's defaults so in-process and real-process
-// lattice phases exercise the same serving path.
-const (
-	latticeSlots      = 5
-	latticeAlts       = 3
-	latticeUtterances = 8
-)
-
-// buildRequests pre-generates phase p's request bodies from a seeded
-// generator, exactly like parsecload: the hot loop only does HTTP, and
-// the same (scenario seed, phase index) always replays the same mix.
-func buildRequests(p Phase, backend string, seed int64) ([][]byte, error) {
+// mix maps phase p onto the shared load generator, so parsecload run
+// with the phase's flags sends the phase's exact bytes. Lattice phases
+// use parsecload's slot and alternative defaults over an 8-utterance
+// pool.
+func (p Phase) mix(backend string) loadgen.Mix {
 	p = p.withDefaults()
-	rng := rand.New(rand.NewSource(seed))
-	gen := func(i int) ([]byte, error) {
-		if p.Mix == "lattice" {
-			return latticeBody(i % latticeUtterances)
-		}
-		name := p.Grammars[rng.Intn(len(p.Grammars))]
-		return json.Marshal(server.ParseRequest{
-			Grammar:   name,
-			Backend:   backend,
-			Sentence:  sentenceFor(name, rng, p.MaxLen),
-			MaxParses: 1,
-		})
+	m := loadgen.Mix{Grammars: p.Grammars, Backend: backend, MaxLen: p.MaxLen}
+	switch p.Mix {
+	case "zipf":
+		m.ZipfS, m.ZipfPool = p.ZipfS, p.ZipfPool
+	case "lattice":
+		m.Lattice, m.LatticeSlots, m.LatticeAlts, m.LatticeUtterances = true, 5, 3, 8
 	}
-	reqs := make([][]byte, p.Requests)
-	if p.Mix == "zipf" {
-		pool := make([][]byte, p.ZipfPool)
-		for i := range pool {
-			body, err := gen(i)
-			if err != nil {
-				return nil, err
-			}
-			pool[i] = body
-		}
-		z := rand.NewZipf(rng, p.ZipfS, 1, uint64(len(pool)-1))
-		for i := range reqs {
-			reqs[i] = pool[z.Uint64()]
-		}
-		return reqs, nil
-	}
-	for i := range reqs {
-		body, err := gen(i)
-		if err != nil {
-			return nil, err
-		}
-		reqs[i] = body
-	}
-	return reqs, nil
-}
-
-// sentenceFor picks a grammatical-shape sentence for the named grammar
-// from the workload generators (the parsecload mix, minus the
-// ww/dyck shapes fleet scenarios don't use).
-func sentenceFor(name string, rng *rand.Rand, maxLen int) []string {
-	switch name {
-	case "english":
-		n := 3 + rng.Intn(maxInt(1, maxLen-2))
-		return workload.EnglishSentence(n)
-	default: // demo and anything else demo-shaped
-		n := 1 + rng.Intn(maxInt(1, maxLen))
-		return workload.DemoSentence(n)
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// latticeBody builds the request for the uidx-th pool utterance, the
-// same deterministic lattice parsecload's -lattice mode sends.
-func latticeBody(uidx int) ([]byte, error) {
-	grid := workload.EnglishLattice(latticeSlots, latticeAlts, uint64(uidx))
-	ls := make([][]server.LatticeAlt, len(grid))
-	for s, words := range grid {
-		row := make([]server.LatticeAlt, len(words))
-		for j, w := range words {
-			row[j] = server.LatticeAlt{Word: w, Score: 0.9 - 0.15*float64(j)}
-		}
-		ls[s] = row
-	}
-	return json.Marshal(server.LatticeRequest{
-		Grammar:     "english",
-		UtteranceID: fmt.Sprintf("bench-utt-%d", uidx),
-		Slots:       ls,
-		MaxParses:   1,
-	})
+	return m
 }
 
 // drivePhase fires the phase's request mix at its concurrency against
@@ -114,51 +28,24 @@ func latticeBody(uidx int) ([]byte, error) {
 // the structured per-request log the exact quantile queries scan.
 // Wall-clock elapsed is measured only to report throughput; request
 // attribution and membership stepping stay deterministic.
-func drivePhase(client *http.Client, routerURL string, p Phase, backend string, seed int64, st *Store, w int) (PhaseResult, error) {
-	p = p.withDefaults()
-	reqs, err := buildRequests(p, backend, seed)
+func drivePhase(ctx context.Context, client *http.Client, routerURL string, p Phase, backend string, seed int64, st *Store, w int) (PhaseResult, error) {
+	mix := p.mix(backend)
+	bodies, err := mix.Bodies(p.Requests, seed)
 	if err != nil {
 		return PhaseResult{}, err
 	}
-	endpoint := routerURL + "/v1/parse"
-	if p.Mix == "lattice" {
-		endpoint = routerURL + "/v1/lattice"
-	}
-
-	res := PhaseResult{Name: p.Name, Requests: len(reqs), ByStatus: map[int]int{}}
-	var (
-		next atomic.Int64
-		mu   sync.Mutex
-	)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < p.Concurrency; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				t0 := time.Now()
-				status, shard, err := postOnce(client, endpoint, reqs[i])
-				lat := time.Since(t0).Nanoseconds()
-				st.RecordRequest(w, shard, status, lat)
-				mu.Lock()
-				if err != nil {
-					res.Errors++
-				} else {
-					res.ByStatus[status]++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	res.ElapsedNs = time.Since(start).Nanoseconds()
+	res := PhaseResult{Name: p.Name, Requests: len(bodies), ByStatus: map[int]int{}}
+	elapsed := loadgen.Drive(ctx, client, routerURL+mix.Endpoint(), bodies, p.Concurrency, func(o loadgen.Outcome) {
+		st.RecordRequest(w, o.Shard, o.Status, o.Latency.Nanoseconds())
+		if o.Err != nil {
+			res.Errors++
+		} else {
+			res.ByStatus[o.Status]++
+		}
+	})
+	res.ElapsedNs = elapsed.Nanoseconds()
 	if res.ElapsedNs > 0 {
-		res.ThroughputRPS = float64(len(reqs)) / (float64(res.ElapsedNs) / 1e9)
+		res.ThroughputRPS = float64(len(bodies)) / elapsed.Seconds()
 	}
 	res.Lost = res.Requests - res.ByStatus[http.StatusOK]
 	q := Query{Phase: p.Name}
@@ -169,16 +56,4 @@ func drivePhase(client *http.Client, routerURL string, p Phase, backend string, 
 		res.P99Ns = v
 	}
 	return res, nil
-}
-
-// postOnce sends one request and returns the status and serving shard
-// (X-Parsec-Shard); a transport error returns status 0.
-func postOnce(client *http.Client, url string, body []byte) (int, string, error) {
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, "", err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	return resp.StatusCode, resp.Header.Get(server.ShardHeader), nil
 }

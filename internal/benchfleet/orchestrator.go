@@ -30,17 +30,8 @@ type Fleet interface {
 	Close() error
 }
 
-// loadFunc drives one phase's load and reports its client-side result.
-// The in-process orchestrator uses the built-in driver (per-request
-// records); the real-process mode substitutes a parsecload -json
-// execution.
-type loadFunc func(ctx context.Context, fleet Fleet, p Phase, seed int64, st *Store, window int) (PhaseResult, error)
-
 // Options tunes a Run.
 type Options struct {
-	// Load overrides the phase load driver (default: the in-process
-	// driver, recording per-request latencies into the store).
-	Load loadFunc
 	// ScrapeEvery inserts additional mid-phase scrape windows on this
 	// cadence (0: scrape only at phase boundaries — the deterministic
 	// in-process mode).
@@ -86,12 +77,6 @@ func Run(ctx context.Context, fleet Fleet, sc *Scenario, opts Options) (*RunResu
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	load := opts.Load
-	if load == nil {
-		load = func(ctx context.Context, fleet Fleet, p Phase, seed int64, st *Store, window int) (PhaseResult, error) {
-			return drivePhase(fleet.Client(), fleet.RouterURL(), p, sc.BackendOrDefault(), seed, st, window)
-		}
-	}
 	st := NewStore(fleet.ShardNames())
 	res := &RunResult{Scenario: sc, Store: st}
 
@@ -99,9 +84,9 @@ func Run(ctx context.Context, fleet Fleet, sc *Scenario, opts Options) (*RunResu
 		for i, name := range fleet.ShardNames() {
 			// Ignore per-scrape errors: a killed shard contributes no
 			// samples for the window, which is itself signal.
-			ScrapeInto(fleet.Client(), st, w, name, fleet.ShardURL(i)) //nolint:errcheck
+			ScrapeInto(ctx, fleet.Client(), st, w, name, fleet.ShardURL(i)) //nolint:errcheck
 		}
-		ScrapeInto(fleet.Client(), st, w, RouterSource, fleet.RouterURL()) //nolint:errcheck
+		ScrapeInto(ctx, fleet.Client(), st, w, RouterSource, fleet.RouterURL()) //nolint:errcheck
 	}
 
 	// Baseline window: cumulative counters before any load.
@@ -126,7 +111,7 @@ func Run(ctx context.Context, fleet Fleet, sc *Scenario, opts Options) (*RunResu
 
 		w := st.OpenWindow(p.Name, 0)
 		stopCadence := startCadence(ctx, opts.ScrapeEvery, p.Name, st, scrapeAll)
-		pr, err := load(ctx, fleet, p, seedBase+int64(pi), st, w)
+		pr, err := drivePhase(ctx, fleet.Client(), fleet.RouterURL(), p, sc.BackendOrDefault(), seedBase+int64(pi), st, w)
 		stopCadence()
 		if err != nil {
 			return nil, fmt.Errorf("benchfleet: phase %q: %w", p.Name, err)

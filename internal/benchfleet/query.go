@@ -3,8 +3,9 @@ package benchfleet
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
+
+	"repro/internal/loadgen"
 )
 
 // Query selects a slice of the sample store. The zero value selects
@@ -30,9 +31,8 @@ func (s *Store) windowSet(q Query) []int {
 
 // Quantile returns the exact p-quantile (0 < p <= 1) of request
 // latency over the per-request records the query selects, in
-// nanoseconds, using the same index rule as parsecload
-// (sorted[int(p*n)-1], clamped at 0). ok is false when no records
-// match.
+// nanoseconds, by loadgen.Quantile's index rule. ok is false when no
+// records match.
 func (s *Store) Quantile(q Query, p float64) (latNs int64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -41,11 +41,7 @@ func (s *Store) Quantile(q Query, p float64) (latNs int64, ok bool) {
 		return 0, false
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	i := int(p*float64(len(lats))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return lats[i], true
+	return loadgen.Quantile(lats, p), true
 }
 
 // QuantileByShard computes the p-quantile of request latency for every
@@ -220,84 +216,10 @@ func (s *Store) HitRate(source string, q Query) (float64, bool) {
 	return hits / lookups, true
 }
 
-// HistQuantile estimates the p-quantile of a scraped Prometheus
-// histogram family for one source over the query's windows, by
-// differencing the cumulative bucket counters across the span and
-// interpolating linearly within the deciding bucket — per-shard
-// latency series in real-process mode, where the orchestrator has no
-// per-request records. family is the base name (e.g.
-// "parsecd_parse_latency_seconds"); the result is in the histogram's
-// native unit (seconds for latency families). ok is false when the
-// span saw no observations.
-func (s *Store) HistQuantile(family, source string, q Query, p float64) (float64, bool) {
-	type bkt struct {
-		le    float64
-		count float64
-	}
-	var bkts []bkt
-	prefix := family + bucketKeySep
-	for _, f := range s.Families() {
-		rest, found := strings.CutPrefix(f, prefix)
-		if !found {
-			continue
-		}
-		le, err := parseLE(rest)
-		if err != nil {
-			continue
-		}
-		d, ok := s.Delta(f, source, q)
-		if !ok {
-			continue
-		}
-		bkts = append(bkts, bkt{le: le, count: d})
-	}
-	if len(bkts) == 0 {
-		return 0, false
-	}
-	sort.Slice(bkts, func(i, j int) bool { return bkts[i].le < bkts[j].le })
-	total := bkts[len(bkts)-1].count // +Inf bucket is cumulative total
-	if total <= 0 {
-		return 0, false
-	}
-	target := p * total
-	prevLE, prevCount := 0.0, 0.0
-	for _, b := range bkts {
-		if b.count >= target {
-			if isInf(b.le) {
-				// The quantile lands in the open-ended bucket; the best
-				// point estimate is its lower edge.
-				return prevLE, true
-			}
-			inBucket := b.count - prevCount
-			if inBucket <= 0 {
-				return b.le, true
-			}
-			return prevLE + (b.le-prevLE)*(target-prevCount)/inBucket, true
-		}
-		prevLE, prevCount = b.le, b.count
-	}
-	return bkts[len(bkts)-1].le, true
-}
-
-// bucketKeySep joins a histogram family name with its bucket bound in
-// the store's column namespace ("<family>|le=<bound>").
-const bucketKeySep = "|le="
-
-const infLE = 1e308
-
-func isInf(v float64) bool { return v >= infLE }
-
-func parseLE(s string) (float64, error) {
-	if s == "+Inf" {
-		return infLE, nil
-	}
-	return strconv.ParseFloat(s, 64)
-}
-
 // DescribeQuery is the CLI's post-hoc entry point: a small textual
-// report for one phase — request counts and exact quantiles when the
-// artifact has per-request records, plus scraped-histogram p50/p99 and
-// cache hit rate per shard.
+// report for one phase — request counts and exact quantiles from the
+// per-request records, plus cache hit rate and served requests per
+// shard from the scrapes.
 func (s *Store) DescribeQuery(q Query, p float64) string {
 	var b strings.Builder
 	scope := q.Phase
@@ -319,9 +241,6 @@ func (s *Store) DescribeQuery(q Query, p float64) string {
 		wrote := false
 		if v, ok := s.Quantile(Query{Phase: q.Phase, Shard: shard}, p); ok {
 			fmt.Fprintf(&b, " p%d=%.3fms", int(p*100), float64(v)/1e6)
-			wrote = true
-		} else if v, ok := s.HistQuantile("parsecd_parse_latency_seconds", shard, q, p); ok {
-			fmt.Fprintf(&b, " p%d≈%.3fms (scraped hist)", int(p*100), v*1e3)
 			wrote = true
 		}
 		if hr, ok := s.HitRate(shard, q); ok {

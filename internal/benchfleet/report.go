@@ -3,53 +3,18 @@ package benchfleet
 import (
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"runtime"
-	"strconv"
 
 	"repro/internal/benchjson"
 )
-
-// DecodeLoadSummary strictly decodes one `parsecload -json` document.
-func DecodeLoadSummary(data []byte) (*benchjson.LoadSummary, error) {
-	var sum benchjson.LoadSummary
-	if err := json.Unmarshal(data, &sum); err != nil {
-		return nil, fmt.Errorf("benchfleet: decode parsecload summary: %w", err)
-	}
-	return &sum, nil
-}
-
-// phaseResultFromSummary converts parsecload's client-side accounting
-// into the orchestrator's phase result.
-func phaseResultFromSummary(p Phase, sum *benchjson.LoadSummary) PhaseResult {
-	res := PhaseResult{
-		Name:          p.Name,
-		Requests:      sum.Requests,
-		Errors:        sum.Errors,
-		ByStatus:      map[int]int{},
-		ElapsedNs:     sum.ElapsedNs,
-		ThroughputRPS: sum.ThroughputRPS,
-		P50Ns:         sum.Latency.P50,
-		P99Ns:         sum.Latency.P99,
-	}
-	for code, n := range sum.ByStatus {
-		if c, err := strconv.Atoi(code); err == nil {
-			res.ByStatus[c] = n
-		}
-	}
-	res.Lost = res.Requests - res.ByStatus[http.StatusOK]
-	return res
-}
 
 // Exposed metric family names the report reduces over. These are the
 // literal names internal/server and internal/router register, verified
 // by the metricflow lint.
 const (
-	famRequests    = "parsecd_requests_total"
-	famParseLatSec = "parsecd_parse_latency_seconds"
-	famFailovers   = "parsecrouter_failovers_total"
-	famHedges      = "parsecrouter_hedges_total"
-	famSheds       = "parsecrouter_sheds_total"
+	famFailovers = "parsecrouter_failovers_total"
+	famHedges    = "parsecrouter_hedges_total"
+	famSheds     = "parsecrouter_sheds_total"
 )
 
 // BuildReport reduces a completed run to the shared benchjson schema:
@@ -110,15 +75,8 @@ func BuildReport(res *RunResult) (*benchjson.Report, error) {
 		for _, shard := range st.Shards() {
 			sq := Query{Phase: pr.Name, Shard: shard}
 			srow := benchjson.Result{
-				Name: "Fleet/" + sc.Name + "/phase=" + pr.Name + "/shard=" + shard,
-			}
-			// Shard request attribution: per-request records when the
-			// in-process driver ran, the scraped request counter delta
-			// otherwise.
-			if n := st.CountRequests(sq, nil); n > 0 {
-				srow.Iterations = int64(n)
-			} else if d, ok := st.Delta(famRequests, shard, q); ok {
-				srow.Iterations = int64(d)
+				Name:       "Fleet/" + sc.Name + "/phase=" + pr.Name + "/shard=" + shard,
+				Iterations: int64(st.CountRequests(sq, nil)),
 			}
 			if srow.Iterations == 0 {
 				// The shard was dark for the whole phase (killed before
@@ -127,13 +85,9 @@ func BuildReport(res *RunResult) (*benchjson.Report, error) {
 			}
 			if v, ok := st.Quantile(sq, 0.99); ok {
 				srow.P99Ns = float64(v)
-			} else if v, ok := st.HistQuantile(famParseLatSec, shard, q, 0.99); ok {
-				srow.P99Ns = v * 1e9
 			}
 			if v, ok := st.Quantile(sq, 0.50); ok {
 				srow.P50Ns = float64(v)
-			} else if v, ok := st.HistQuantile(famParseLatSec, shard, q, 0.50); ok {
-				srow.P50Ns = v * 1e9
 			}
 			if hr, ok := st.HitRate(shard, q); ok {
 				srow.HitRate = hr

@@ -3,7 +3,6 @@ package benchfleet
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -154,18 +153,6 @@ func (s *Store) RecordRequest(w int, shard string, status int, latNs int64) {
 	s.reqSrc = append(s.reqSrc, si)
 	s.reqStatus = append(s.reqStatus, int16(status))
 	s.reqLatNs = append(s.reqLatNs, latNs)
-}
-
-// Families returns the scraped family names, sorted.
-func (s *Store) Families() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.cols))
-	for f := range s.cols {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (c *column) grow(windows, stride int) {

@@ -147,31 +147,6 @@ func TestHitRate(t *testing.T) {
 	}
 }
 
-func TestHistQuantile(t *testing.T) {
-	st := fixtureStore()
-	q := Query{Phase: "kill"}
-	// Bucket deltas for s0 during kill: le=0.01→4, le=0.05→9, +Inf→10.
-	// p50 target = 5 observations: lands in the 0.05 bucket holding 5,
-	// linear interpolation → 0.01 + 0.04*(5-4)/5 = 0.018.
-	if v, ok := st.HistQuantile("parsecd_parse_latency_seconds", "s0", q, 0.50); !ok || !close6(v, 0.018) {
-		t.Fatalf("hist p50 = %g,%v want 0.018", v, ok)
-	}
-	// p99 target = 9.9: lands in +Inf → best estimate is the previous
-	// finite bound, 0.05.
-	if v, ok := st.HistQuantile("parsecd_parse_latency_seconds", "s0", q, 0.99); !ok || v != 0.05 {
-		t.Fatalf("hist p99 = %g,%v want 0.05", v, ok)
-	}
-	// s1 exposed no histogram.
-	if _, ok := st.HistQuantile("parsecd_parse_latency_seconds", "s1", q, 0.99); ok {
-		t.Fatal("s1 should have no histogram quantile")
-	}
-}
-
-func close6(a, b float64) bool {
-	d := a - b
-	return d < 1e-6 && d > -1e-6
-}
-
 func TestStoreJSONRoundTrip(t *testing.T) {
 	st := fixtureStore()
 	data, err := json.Marshal(st)

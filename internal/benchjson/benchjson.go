@@ -5,8 +5,7 @@
 // internal/benchfleet) writes BENCH_cluster.json directly — both files
 // are the same Report document, so trajectory tooling reads one
 // schema. The package also holds LoadSummary, the JSON object
-// `parsecload -json` prints, so the orchestrator consumes load-run
-// results without scraping human-format text.
+// `parsecload -json` prints.
 package benchjson
 
 import (

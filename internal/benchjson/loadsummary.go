@@ -3,9 +3,9 @@ package benchjson
 // LoadSummary is the single JSON object `parsecload -json` prints on
 // stdout at the end of a run: the client-side accounting (throughput,
 // latency quantiles, status/shard attribution, shed/backoff behaviour)
-// plus the server-side counters scraped from /metrics. The fleet
-// orchestrator decodes it instead of scraping parsecload's
-// human-format text.
+// plus the server-side counters scraped from /metrics, for scripts
+// that drive parsecload. The fleet orchestrator does not read it: it
+// drives load through internal/loadgen itself.
 type LoadSummary struct {
 	// Mode is "parse" or "lattice".
 	Mode string `json:"mode"`
